@@ -31,7 +31,7 @@ from . import metrics as metrics_mod
 from .batch import Batch
 from .errors import EvalError
 from .ranking import (NEG_INF, HitMatrix, index_hits, positive_hits,
-                      relevance_matrix, reshape_scores, topk_find)
+                      relevance_matrix, reshape_scores, row_cells, topk_find)
 
 
 @dataclass(frozen=True)
@@ -146,18 +146,13 @@ class Evaluator:
             np.copyto(mat, scores)
         else:
             cands = self.candidates[lo:hi]
-            counts = [len(c) for c in cands]
-            pair_users = np.repeat(users, counts)
-            pair_items = np.concatenate(cands) if cands else np.empty(0, np.int64)
-            flat = model.predict(Batch({self.user_field: pair_users,
-                                        self.item_field: pair_items}))
-            offsets = np.cumsum([0] + counts)
-            per_user = [flat[offsets[i]:offsets[i + 1]] for i in range(len(cands))]
+            rows, items = row_cells(cands)
+            flat = model.predict(Batch({self.user_field: users[rows],
+                                        self.item_field: items}))
+            per_user = np.split(flat, np.cumsum([len(c) for c in cands])[:-1])
             mat = reshape_scores(per_user, self.n_items, candidates=cands)
         if self.mask_items is not None:
-            for row, items in enumerate(self.mask_items[lo:hi]):
-                if items is not None and len(items):
-                    mat[row, items] = NEG_INF
+            mat[row_cells(self.mask_items[lo:hi])] = NEG_INF
         mat[:, 0] = NEG_INF  # padding slot is never a recommendation
         return mat
 

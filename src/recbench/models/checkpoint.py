@@ -23,6 +23,7 @@ losslessly below 2**53 and are cast back by the owning model.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -34,22 +35,31 @@ FORMAT_VERSION = 1
 
 
 def save_state(path, manifest: dict, arrays: dict):
-    """Write a checkpoint; ``manifest`` must be JSON-serializable."""
+    """Write a checkpoint; ``manifest`` must be JSON-serializable.
+
+    Writes ``<path>.tmp`` and renames it onto ``path``, so a save that fails
+    partway leaves the previous checkpoint intact.
+    """
     manifest = dict(manifest)
     manifest["format_version"] = FORMAT_VERSION
     manifest["arrays"] = [{"name": name, "shape": list(arr.shape)}
                           for name, arr in arrays.items()]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(path, "wb") as handle:
+        with open(tmp, "wb") as handle:
             handle.write(MAGIC)
             handle.write(struct.pack("<I", FORMAT_VERSION))
             handle.write(struct.pack("<Q", len(blob)))
             handle.write(blob)
             for name in arrays:
                 handle.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_state(path):

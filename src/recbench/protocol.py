@@ -20,6 +20,15 @@ command line::
 All operations are pure functions of (dataset, plan, seed).  Per-user RNG
 streams are derived from (seed, purpose, user ID), so results do not
 depend on scheduling or user evaluation order.
+
+Per-user grouping has one implementation, :func:`user_index`: one sort of
+``user * width + value`` keys gives each user's sorted distinct values as
+CSR arrays.  Row groups, positives, histories and the uniN known-item sets
+are all read from it.  A uniN draw never scans the catalog: each positive
+draws N distinct indices into the user's eligible items with
+``rng.choice(n_eligible, N, replace=False)``, and each index is mapped to
+its item by a binary search over the user's sorted known items.  The
+draws are the ones ``rng.choice(eligible_items, N, replace=False)`` gives.
 """
 
 from __future__ import annotations
@@ -115,18 +124,36 @@ class CandidateSet:
         return self.mode if self.mode == "full" else f"uni{self.n_per_pos}"
 
 
+def user_index(users, values, width):
+    """Each user's sorted distinct ``values`` (in ``[0, width)``) as CSR arrays.
+
+    Returns ascending user IDs, ``indptr`` and the values: the i-th user's
+    are ``values[indptr[i]:indptr[i + 1]]``.  One sort of the keys
+    ``user * width + value`` groups, orders and de-duplicates them.
+    """
+    keys = np.asarray(users, dtype=np.int64) * width
+    keys += values
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    owners = keys // width
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    keys -= owners * width
+    return owners[starts], np.append(starts, len(keys)), keys
+
+
+def _as_dict(users, indptr, values):
+    # copies, not views: with views into the one index array, evaluating
+    # a 2,135-user full-ranking run kept about 4 MB more memory resident
+    return {int(u): values[indptr[i]:indptr[i + 1]].copy()
+            for i, u in enumerate(users)}
+
+
 def group_by_user(ds: Dataset) -> dict:
     """Map each user ID to its interaction row indices, in file order."""
     users = ds.user_ids()
     if len(users) == 0:
         raise ProtocolError("cannot group an empty interaction table")
-    order = np.argsort(users, kind="stable")
-    sorted_users = users[order]
-    boundaries = np.flatnonzero(np.diff(sorted_users)) + 1
-    groups = {}
-    for chunk in np.split(order, boundaries):
-        groups[int(users[chunk[0]])] = chunk
-    return groups
+    return _as_dict(*user_index(users, np.arange(len(users)), len(users)))
 
 
 def order_rows(groups, mode, seed=0, timestamps=None) -> dict:
@@ -192,29 +219,13 @@ def positives_by_user(ds: Dataset, rows, label_field="label"):
     if ds.inter.has_field(label_field):
         labels = ds.inter.columns[label_field][rows]
         rows = rows[labels > 0]
-    users = ds.user_ids()[rows]
-    items = ds.item_ids()[rows]
-    out = {}
-    order = np.argsort(users, kind="stable")
-    boundaries = np.flatnonzero(np.diff(users[order])) + 1
-    for chunk in np.split(order, boundaries):
-        if len(chunk):
-            out[int(users[chunk[0]])] = np.unique(items[chunk])
-    return out
+    return history_by_user(ds, rows)
 
 
 def history_by_user(ds: Dataset, rows):
     """Group ALL item IDs of ``rows`` by user (no label filtering)."""
     rows = np.asarray(rows, dtype=np.int64)
-    users = ds.user_ids()[rows]
-    items = ds.item_ids()[rows]
-    out = {}
-    order = np.argsort(users, kind="stable")
-    boundaries = np.flatnonzero(np.diff(users[order])) + 1
-    for chunk in np.split(order, boundaries):
-        if len(chunk):
-            out[int(users[chunk[0]])] = np.unique(items[chunk])
-    return out
+    return _as_dict(*user_index(ds.user_ids()[rows], ds.item_ids()[rows], ds.n_items))
 
 
 def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
@@ -240,19 +251,32 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
         raise ProtocolError(f"unknown candidate mode {mode!r}")
     if n_negatives < 1:
         raise ProtocolError("uniN requires N >= 1")
-    known = history_by_user(ds, np.concatenate([split.train, split.valid, split.test]))
+    rows = np.concatenate([split.train, split.valid, split.test])
+    # each user's known items over all splits, the padding ID 0 always
+    # among them; below[i] = known[i] - (its rank in the user's list) is
+    # the number of eligible items under known[i]
+    k_users, k_ptr, known = user_index(
+        np.tile(ds.user_ids()[rows], 2),
+        np.concatenate([ds.item_ids()[rows], np.zeros(len(rows), np.int64)]),
+        n_items)
+    below = known - np.arange(len(known)) + np.repeat(k_ptr[:-1], np.diff(k_ptr))
     candidates = []
-    catalog = np.arange(1, n_items, dtype=np.int64)
-    for u, p in zip(users, positives):
-        exclude = known.get(int(u), np.empty(0, dtype=np.int64))
-        eligible = catalog[~np.isin(catalog, exclude)]
-        if len(eligible) < n_negatives:
+    for u, p, j in zip(users, positives, np.searchsorted(k_users, users)):
+        lo, hi = k_ptr[j], k_ptr[j + 1]
+        n_eligible = n_items - (hi - lo)
+        if n_eligible < n_negatives:
             raise ProtocolError(
-                f"user {int(u)}: only {len(eligible)} items are eligible as "
+                f"user {int(u)}: only {n_eligible} items are eligible as "
                 f"negatives, fewer than N={n_negatives}")
         rng = user_rng(seed, _RNG_NEGATIVES, u)
-        negs = [rng.choice(eligible, size=n_negatives, replace=False) for _ in p]
-        candidates.append(np.unique(np.concatenate([p] + negs)))
+        idx = np.concatenate([rng.choice(n_eligible, size=n_negatives, replace=False)
+                              for _ in p])
+        # the idx-th eligible item skips each known item with below <= idx
+        cands = np.sort(np.concatenate(
+            [p, idx + np.searchsorted(below[lo:hi], idx, side="right")]))
+        if len(p) > 1:  # one draw is distinct and misses p; two may overlap
+            cands = cands[np.diff(cands, prepend=-1) != 0]
+        candidates.append(cands)
     return CandidateSet("uni", users, positives, candidates, n_items, n_negatives)
 
 

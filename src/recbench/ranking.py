@@ -80,21 +80,30 @@ def reshape_scores(scores, n_items, candidates=None) -> np.ndarray:
         if mat.ndim != 2 or mat.shape[1] != n_items:
             raise EvalError(f"expected shape (n, {n_items}), got {mat.shape}")
         return mat
+    rows, cols = row_cells(candidates)
+    if len(cols) and cols.max() >= n_items:
+        raise EvalError(f"candidate index {int(cols.max())} >= n_items={n_items}")
     out = np.full((len(candidates), n_items), NEG_INF, dtype=np.float64)
-    for row, (cand, vals) in enumerate(zip(candidates, scores)):
-        cand = np.asarray(cand)
-        if len(cand) and cand.max() >= n_items:
-            raise EvalError(f"candidate index {int(cand.max())} >= n_items={n_items}")
-        out[row, cand] = vals
+    out[rows, cols] = np.concatenate([np.empty(0), *scores])
     return out
+
+
+def row_cells(per_row):
+    """``(rows, cols)`` index arrays of a per-row list of column indices.
+
+    ``None`` or empty entries contribute no cells, so ``mat[row_cells(x)]``
+    addresses every listed cell with one fancy index.
+    """
+    counts = [0 if c is None else len(c) for c in per_row]
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = [np.asarray(c) for c, n in zip(per_row, counts) if n]
+    return rows, np.concatenate(cols) if cols else np.empty(0, dtype=np.intp)
 
 
 def mask_training_items(scores, items_per_user) -> np.ndarray:
     """Copy of ``scores`` with each user's listed items set to -inf."""
     out = np.array(scores, dtype=np.float64, copy=True)
-    for row, items in enumerate(items_per_user):
-        if items is not None and len(items):
-            out[row, items] = NEG_INF
+    out[row_cells(items_per_user)] = NEG_INF
     return out
 
 
@@ -145,12 +154,10 @@ def positive_hits(topk, positives, n_items) -> HitMatrix:
     n = topk.shape[0]
     if n != len(positives):
         raise EvalError("top-k matrix and positives disagree on users")
-    items = np.concatenate([np.empty(0, np.int64), *positives]).astype(np.int64)
+    rows, items = row_cells(positives)
     if len(items) and (items.min() < 0 or items.max() >= n_items):
         raise EvalError(f"positive item ID out of range for {n_items} items")
-    rows = np.repeat(np.arange(n, dtype=np.int64),
-                     [len(p) for p in positives])
-    keys = np.unique(rows * n_items + items)
+    keys = np.unique(rows * n_items + items.astype(np.int64))
     pos_counts = np.bincount(keys // n_items, minlength=n).astype(np.int64)
     query = np.arange(n, dtype=np.int64)[:, None] * n_items + topk
     found = np.searchsorted(keys, query)
@@ -162,6 +169,5 @@ def positive_hits(topk, positives, n_items) -> HitMatrix:
 def relevance_matrix(positives, n_items) -> np.ndarray:
     """Dense (n, n_items) int8 matrix flagging each user's positives."""
     out = np.zeros((len(positives), n_items), dtype=np.int8)
-    for row, items in enumerate(positives):
-        out[row, items] = 1
+    out[row_cells(positives)] = 1
     return out

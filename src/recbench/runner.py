@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from .config import Config, config_from_dict, parse_filter_spec, split_metric_key
-from .errors import CheckpointError, ConfigError, RecbenchError
+from .errors import CheckpointError, ConfigError, ModelError, RecbenchError
 from .evaluator import Evaluator, MetricReport
 from .metrics import metric_direction, metric_kind
 from .models import build_model, load_state, save_state
@@ -201,9 +201,15 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
     def checkpoint(path):
         save_state(path, _manifest(cfg, state, rng), model.state_arrays())
 
+    def finite(loss, epoch):
+        if not math.isfinite(loss):
+            raise ModelError(f"training diverged: epoch {epoch} loss is {loss} "
+                             "(try a smaller learning rate)")
+        return loss
+
     if not model.iterative:
-        loss = model.calculate_loss(model.train_batch())
-        losses.append(float(loss))
+        loss = finite(float(model.calculate_loss(model.train_batch())), 1)
+        losses.append(loss)
         state.epoch = 1
         score = valid_scorer(model) if valid_scorer else None
         if score is not None:
@@ -219,7 +225,7 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
 
     for epoch in range(state.epoch + 1, cfg.train.epochs + 1):
         batch_losses = [model.calculate_loss(b) for b in model.epoch_batches(rng)]
-        epoch_loss = float(np.mean(batch_losses))
+        epoch_loss = finite(float(np.mean(batch_losses)), epoch)
         losses.append(epoch_loss)
         state.epoch = epoch
         score = valid_scorer(model) if valid_scorer else None

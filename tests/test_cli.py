@@ -5,6 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from recbench.models import load_state
+from tests.conftest import planted_interactions, write_inter_file
+
 TOY = str(Path(__file__).parent / "data" / "toy.inter")
 
 
@@ -85,6 +90,29 @@ class TestRun:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "bogus" in proc.stderr
+
+    def test_diverged_training_is_one_error_line(self, tmp_path):
+        users, items = planted_interactions(n_users=30, n_items=20,
+                                            top_frac=0.1, seed=6)
+        inter = write_inter_file(tmp_path / "p.inter",
+                                 [f"{u},{i}" for u, i in zip(users, items)])
+        out = tmp_path / "out"
+        proc = run_cli("run", "--set", f"inter_path={inter}",
+                       "--set", "model=bpr", "--set", "train.epochs=3",
+                       "--set", "train.learning_rate=1e200",
+                       "--set", "train.embedding_dim=8",
+                       "--set", "train.batch_size=64", "--set", "topk=[5]",
+                       "--set", "valid_metric=recall@5",
+                       "--set", f"out_dir={out}", "--quiet")
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "diverged" in errors[0], proc.stderr
+        assert not (out / "report.json").exists()
+        for name in ("model_best.ckpt", "model_last.ckpt"):
+            if (out / name).exists():
+                _, arrays = load_state(out / name)
+                assert all(np.isfinite(a).all() for a in arrays.values())
 
     def test_missing_path_fails(self):
         proc = run_cli("run", "--set", "model=popularity", "--quiet")

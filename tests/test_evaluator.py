@@ -82,6 +82,29 @@ class TestPipelineEquivalence:
                               [1, 5, 10], mask_items=hist, batch_size=5)
             assert fast.to_text() == dedup.evaluate(model).to_text()
 
+    def test_mask_items_with_none_and_empty_entries(self, rng):
+        # the batched history fill must skip None and empty entries exactly
+        # as masking each row by hand does
+        for trial in range(15):
+            scores, positives, hist = _random_instance(rng, n_users=14,
+                                                       n_items=25)
+            hist = [None if r % 3 == 0 else
+                    np.empty(0, np.int64) if r % 3 == 1 else h
+                    for r, h in enumerate(hist)]
+            masked = scores.copy()
+            for row, items in enumerate(hist):
+                if items is not None and len(items):
+                    masked[row, items] = -np.inf
+            ev = Evaluator(25, np.arange(14), positives,
+                           ["recall", "precision", "ndcg", "mrr"], [1, 5],
+                           mask_items=hist, batch_size=int(rng.integers(1, 15)))
+            ref = Evaluator(25, np.arange(14), positives,
+                            ["recall", "precision", "ndcg", "mrr"], [1, 5])
+            want = ref.evaluate_naive(FixedScores(masked)).to_json()
+            model = FixedScores(scores)
+            assert ev.evaluate(model).to_json() == want, f"trial {trial}"
+            assert ev.evaluate_naive(model).to_json() == want, f"trial {trial}"
+
     def test_sampled_equals_full_when_candidates_cover_catalog(self, rng):
         # uni(m - |positives|) with every non-positive as candidate == full
         for _ in range(10):

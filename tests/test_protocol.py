@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from recbench import protocol
 from recbench.errors import ProtocolError
 from recbench.protocol import (EvalPlan, build_candidates, group_by_user,
                                history_by_user, make_split, order_rows,
@@ -249,3 +250,93 @@ class TestBuildCandidates:
         split = make_split(ds, plan)
         cand = build_candidates(ds, split, "full", seed=0, target="valid")
         assert len(cand.users) == 1
+
+
+def _catalog_scan_candidates(ds, split, seed, n_negatives, target):
+    """Reference sampler: scan the whole catalog for each user's eligible items.
+
+    Returns (users, positives, candidates), or the ProtocolError message.
+    """
+    target_rows = split.test if target == "test" else split.valid
+    all_rows = np.concatenate([split.train, split.valid, split.test])
+    user_col, item_col = ds.user_ids(), ds.item_ids()
+    users = np.unique(user_col[target_rows])
+    catalog = np.arange(1, ds.n_items, dtype=np.int64)
+    positives, candidates = [], []
+    for u in users:
+        p = np.unique(item_col[target_rows][user_col[target_rows] == u])
+        known = np.unique(item_col[all_rows][user_col[all_rows] == u])
+        eligible = catalog[~np.isin(catalog, known)]
+        if len(eligible) < n_negatives:
+            return (f"user {int(u)}: only {len(eligible)} items are eligible "
+                    f"as negatives, fewer than N={n_negatives}")
+        rng = protocol.user_rng(seed, protocol._RNG_NEGATIVES, u)
+        negs = [rng.choice(eligible, size=n_negatives, replace=False) for _ in p]
+        positives.append(p)
+        candidates.append(np.unique(np.concatenate([p] + negs)))
+    return users, positives, candidates
+
+
+class TestSamplerOracle:
+    """The index-based uniN draw equals the catalog scan it replaced."""
+
+    def _assert_matches(self, ds, split, seed, n_negatives):
+        for target in ("valid", "test"):
+            want = _catalog_scan_candidates(ds, split, seed, n_negatives, target)
+            if isinstance(want, str):
+                with pytest.raises(ProtocolError, match=f"^{want}$"):
+                    build_candidates(ds, split, "uni", seed=seed,
+                                     n_negatives=n_negatives, target=target)
+                continue
+            got = build_candidates(ds, split, "uni", seed=seed,
+                                   n_negatives=n_negatives, target=target)
+            users, positives, candidates = want
+            np.testing.assert_array_equal(got.users, users)
+            assert got.users.dtype == users.dtype
+            for name, a, b in (("positives", got.positives, positives),
+                               ("candidates", got.candidates, candidates)):
+                assert len(a) == len(b), name
+                for x, y in zip(a, b):
+                    np.testing.assert_array_equal(x, y)
+                    assert x.dtype == y.dtype, name
+
+    def test_random_datasets(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(10, 120))
+            users = [f"u{v}" for v in rng.integers(0, 8, size=n)]
+            # about one row in twenty has a missing item token (ID 0)
+            items = [None if rng.random() < 0.05 else f"i{v}"
+                     for v in rng.integers(0, 40, size=n)]
+            ds = build_dataset(users, items)
+            spec = ("RO_RS", "RO_LS")[trial % 2] + f",uni{int(rng.integers(1, 8))}"
+            plan = parse_eval_setting(spec, seed=trial)
+            self._assert_matches(ds, make_split(ds, plan), trial, plan.n_negatives)
+
+    def test_several_target_positives_under_rs(self, rng):
+        users = [f"u{k % 4}" for k in range(160)]
+        items = [f"i{v}" for v in rng.integers(0, 200, size=160)]
+        ds = build_dataset(users, items)
+        split = make_split(ds, parse_eval_setting("RO_RS,uni9", seed=2))
+        cand = build_candidates(ds, split, "uni", seed=2, n_negatives=9)
+        assert max(len(p) for p in cand.positives) > 1
+        self._assert_matches(ds, split, 2, 9)
+
+    def test_missing_item_token_in_history(self):
+        users = ["a"] * 6 + ["b"] * 4
+        items = ["i0", None, "i1", "i2", "i3", "i4", "i5", "i6", None, "i7"]
+        ds = build_dataset(users, items)
+        assert 0 in ds.item_ids()
+        split = make_split(ds, parse_eval_setting("RO_LS,uni3", seed=1))
+        self._assert_matches(ds, split, 1, 3)
+
+    def test_exactly_n_eligible(self):
+        # user a knows 7 of 10 catalog items; z7..z9 are 1-row users,
+        # which LS keeps wholly in train
+        users = ["a"] * 7 + ["z7", "z8", "z9"]
+        items = [f"i{k}" for k in range(10)]
+        ds = build_dataset(users, items)
+        split = make_split(ds, parse_eval_setting("RO_LS,uni3", seed=4))
+        self._assert_matches(ds, split, 4, 3)
+        cand = build_candidates(ds, split, "uni", seed=4, n_negatives=3)
+        assert len(cand.candidates[0]) == 4  # 1 positive + all 3 eligible
+        self._assert_matches(ds, split, 4, 4)  # one too many: the error

@@ -140,6 +140,26 @@ class TestReshapeScores:
         with pytest.raises(EvalError, match="n_items"):
             reshape_scores([np.array([1.0])], 3, candidates=[np.array([3])])
 
+    def test_out_of_range_in_a_later_row(self):
+        cands = [np.array([], dtype=np.int64), np.array([0, 2]), np.array([1, 5])]
+        scores = [np.empty(0), np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        with pytest.raises(EvalError, match="candidate index 5 >= n_items=5"):
+            reshape_scores(scores, 5, candidates=cands)
+
+    def test_sampled_fill_matches_per_row_loop(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(2, 40))
+            n = int(rng.integers(1, 8))
+            cands = [np.sort(rng.choice(m, size=rng.integers(0, m + 1),
+                                        replace=False)) for _ in range(n)]
+            scores = [rng.standard_normal(len(c)) for c in cands]
+            want = np.full((n, m), NEG_INF)
+            for row, (cand, vals) in enumerate(zip(cands, scores)):
+                want[row, cand] = vals
+            got = reshape_scores(scores, m, candidates=cands)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
 
 class TestMaskTrainingItems:
     def test_masks_listed_items(self):
@@ -152,6 +172,19 @@ class TestMaskTrainingItems:
         mat = np.array([[0.5, 0.4]])
         out = mask_training_items(mat, [np.array([], dtype=np.int64)])
         np.testing.assert_array_equal(out, mat)
+
+    def test_none_and_empty_entries_match_per_row_loop(self, rng):
+        for _ in range(30):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(4, 40))
+            mat = rng.standard_normal((n, m))
+            hist = [None if rng.random() < 0.3 else
+                    rng.choice(m, size=rng.integers(0, m), replace=False)
+                    for _ in range(n)]
+            want = mat.copy()
+            for row, items in enumerate(hist):
+                if items is not None and len(items):
+                    want[row, items] = NEG_INF
+            np.testing.assert_array_equal(mask_training_items(mat, hist), want)
 
     def test_masked_count_matches_history(self, rng):
         for _ in range(50):

@@ -7,7 +7,7 @@ import pytest
 
 from recbench.config import load_config
 from recbench.errors import CheckpointError
-from recbench.models import load_state
+from recbench.models import load_state, save_state
 from recbench.runner import (RunLog, TrainState, _fit, load_dataset,
                              resume_experiment, run_experiment)
 from recbench.tables import (DataTable, FieldSpec, FieldType, TableKind,
@@ -168,6 +168,33 @@ class TestResume:
             assert set(a) == set(b)
             for key in a:
                 np.testing.assert_array_equal(a[key], b[key])
+        assert (tmp_path / "straight" / "report.txt").read_bytes() == \
+            (tmp_path / "resumed" / "report.txt").read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class DiskFull:
+            shape = (3,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("No space left on device")
+
+        inter = _write_planted(tmp_path, n_users=40, n_items=25,
+                               top_frac=0.1, seed=8)
+        straight = run_experiment(_bpr_config(tmp_path, inter, "straight",
+                                              epochs=5))
+        interrupted = run_experiment(
+            _bpr_config(tmp_path, inter, "resumed", epochs=5),
+            stop_after_epoch=2)
+        last = interrupted.checkpoint_last
+        before = last.read_bytes()
+        manifest, arrays = load_state(last)
+        # the header and the real arrays go out before the write fails
+        with pytest.raises(CheckpointError, match="No space left"):
+            save_state(last, manifest, dict(arrays, zz_extra=DiskFull()))
+        assert last.read_bytes() == before
+        assert sorted(p.name for p in last.parent.iterdir()) == [
+            "model_best.ckpt", "model_last.ckpt", "run.log"]
+        resume_experiment(last)
         assert (tmp_path / "straight" / "report.txt").read_bytes() == \
             (tmp_path / "resumed" / "report.txt").read_bytes()
 
