@@ -1,10 +1,9 @@
 """recbench: a benchmarking engine for classic recommender models.
 
 Typed delimited data files, composable evaluation protocols, a
-vectorized top-K evaluation path with a compiled kernel (pure numpy
-fallback), a small model zoo behind a two-function interface, and a
-runner with deterministic training, checkpoint/resume, and
-hyperparameter search.
+vectorized top-K evaluation path (numpy partial selection), a small
+model zoo behind a two-function interface, and a runner with
+deterministic training, checkpoint/resume, and hyperparameter search.
 """
 
 from .batch import Batch, batch_from_table

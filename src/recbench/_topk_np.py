@@ -1,4 +1,4 @@
-"""Pure numpy top-k selection, the fallback for the compiled kernel.
+"""Pure numpy top-k selection, the package's one top-k kernel.
 
 Partial selection, not a full sort, in three steps:
 
@@ -14,15 +14,19 @@ Partial selection, not a full sort, in three steps:
    slots with the lowest-index entries equal to it.
 3. The k winners of each row are sorted (O(k log k)).
 
-Output is bit-identical to the compiled kernel and to a stable full
-sort: per row, the k highest-scoring column indices, descending score,
-ties broken by ascending index.
+Output is bit-identical to a stable full sort: per row, the k
+highest-scoring column indices, descending score, ties broken by
+ascending index.
 
-Scores must be finite or -inf (the sentinel for unrankable entries);
-NaN is not supported.
+Scores must be finite or -inf (the sentinel for unrankable entries).
+A NaN score has no place in that order: each negated block is checked
+with one NaN-propagating ``max`` while it is in cache, and a NaN raises
+:class:`~recbench.errors.NaNScoreError` naming the first such row.
 """
 
 import numpy as np
+
+from .errors import NaNScoreError
 
 # Rows per ``argpartition`` call: the reused negated block and the call's
 # index output, _PART_ROWS x m each, stay small and in cache.
@@ -40,6 +44,8 @@ def topk_indices(scores, k):
     neg = np.empty((min(n, _PART_ROWS), m))
     for lo in range(0, n, _PART_ROWS):
         block = np.negative(scores[lo:lo + _PART_ROWS], out=neg[:n - lo])
+        if np.isnan(block.max()):
+            raise NaNScoreError(lo + int(np.isnan(block).any(axis=1).argmax()))
         idx[lo:lo + _PART_ROWS] = np.argpartition(block, k - 1, axis=1)[:, :k]
     idx.sort(axis=1)
     kth = np.take_along_axis(scores, idx, axis=1).min(axis=1)

@@ -7,10 +7,6 @@ report is also the one checked for correctness, so no path runs an
 extra time for the check.  Correctness is a precondition of the timing:
 both paths must emit byte-identical reports, and the result records
 whether they did.
-
-When the compiled top-k kernel is available, the kernel itself is also
-timed against the pure numpy fallback on identical batches, so the two
-backends the package can run on are compared side by side.
 """
 
 from __future__ import annotations
@@ -21,22 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluator import Evaluator
-from .ranking import TOPK_BACKEND, _BACKENDS
+from .ranking import TOPK_BACKEND
 
 _BENCH_METRICS = ("recall", "ndcg")
 
 
 class FixedScores:
-    """Pseudo-model serving rows of a precomputed score matrix."""
+    """Pseudo-model serving rows of a precomputed score matrix.
+
+    Like every model, it returns a new array the caller owns.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix
 
     def full_sort_predict(self, users):
-        users = np.asarray(users)
-        if len(users) and np.array_equal(
-                users, np.arange(users[0], users[0] + len(users))):
-            return self.matrix[users[0]:users[0] + len(users)]  # view
         return self.matrix[users]
 
 
@@ -52,7 +47,6 @@ class BenchResult:
     speedup: float
     reports_identical: bool
     backend: str
-    kernel_seconds: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
 
     def to_text(self):
@@ -65,8 +59,6 @@ class BenchResult:
             f"speedup                  : {self.speedup:.1f}x",
             f"reports identical        : {'yes' if self.reports_identical else 'NO'}",
         ]
-        for name, secs in self.kernel_seconds.items():
-            lines.append(f"topk kernel [{name:<6}]      : {secs:.4f} s")
         for key, value in self.metrics.items():
             lines.append(f"{key} = {value!r}")
         return "\n".join(lines) + "\n"
@@ -100,16 +92,9 @@ def bench_eval(n_users, n_items, k=10, repeats=10, seed=0,
                                    repeats)
     identical = (accel_report.to_text() == naive_report.to_text()
                  and accel_report.to_json() == naive_report.to_json())
-    kernel_seconds = {}
-    if len(_BACKENDS) > 1:
-        sample = scores[:min(n_users, batch_size)]
-        for name in sorted(_BACKENDS):
-            impl = _BACKENDS[name]
-            kernel_seconds[name] = _timed(lambda: impl(sample, k),
-                                          min(repeats, 3))[0]
     return BenchResult(
         n_users=n_users, n_items=n_items, k=k, repeats=repeats, seed=seed,
         naive_seconds=naive_s, accel_seconds=accel_s,
         speedup=naive_s / accel_s if accel_s > 0 else float("inf"),
         reports_identical=identical, backend=TOPK_BACKEND,
-        kernel_seconds=kernel_seconds, metrics=dict(accel_report.values))
+        metrics=dict(accel_report.values))

@@ -35,3 +35,11 @@ class ConfigError(RecbenchError):
 
 class EvalError(RecbenchError):
     """Evaluation failure: unknown metric, bad shapes, missing fields."""
+
+
+class NaNScoreError(EvalError):
+    """A score matrix holds NaN; ``row`` is the first row that does."""
+
+    def __init__(self, row):
+        super().__init__(f"NaN score in row {row}")
+        self.row = row

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .batch import Batch
-from .errors import EvalError
+from .errors import EvalError, NaNScoreError
 from .ranking import (NEG_INF, HitMatrix, index_hits, positive_hits,
                       relevance_matrix, reshape_scores, row_cells, topk_find)
 
@@ -131,19 +131,18 @@ class Evaluator:
 
     # -- score-matrix assembly -------------------------------------------
 
-    def _batch_scores(self, model, lo, hi, out=None):
+    def _batch_scores(self, model, lo, hi):
         """The reshape and fill steps for one user batch.
 
-        The resulting matrix is private (a reusable buffer or a fresh
-        sampled-mode matrix), so history masking and the padding fill
-        happen in place; the public :func:`mask_training_items` op keeps
-        the copying contract for external callers.
+        The matrix is the caller's own (``full_sort_predict`` returns a
+        new array, and a sampled matrix is built here), so history
+        masking and the padding fill happen in place; the public
+        :func:`mask_training_items` op keeps the copying contract for
+        external callers.
         """
         users = self.users[lo:hi]
         if self.candidates is None:
-            scores = reshape_scores(model.full_sort_predict(users), self.n_items)
-            mat = out[:len(users)] if out is not None else np.empty_like(scores)
-            np.copyto(mat, scores)
+            mat = reshape_scores(model.full_sort_predict(users), self.n_items)
         else:
             cands = self.candidates[lo:hi]
             rows, items = row_cells(cands)
@@ -163,13 +162,14 @@ class Evaluator:
         collector = Collector()
         max_k = max(self.ks) if self.ks else 0
         if self.ranking_names:
-            buf = (np.empty((min(self.batch_size, len(self.users)), self.n_items))
-                   if self.candidates is None else None)
             for lo in range(0, len(self.users), self.batch_size):
                 hi = min(lo + self.batch_size, len(self.users))
-                mat = self._batch_scores(model, lo, hi, out=buf)
-                collector.add_hits(positive_hits(topk_find(mat, max_k),
-                                                 self.positives[lo:hi],
+                try:  # the score matrix is freed before the next batch's
+                    top = topk_find(self._batch_scores(model, lo, hi), max_k)
+                except NaNScoreError as exc:
+                    raise EvalError(f"model scored NaN for user ID "
+                                    f"{self.users[lo + exc.row]}") from None
+                collector.add_hits(positive_hits(top, self.positives[lo:hi],
                                                  self.n_items))
         self._collect_values(model, collector)
         return self._report(collector)
@@ -179,10 +179,8 @@ class Evaluator:
         collector = Collector()
         max_k = max(self.ks) if self.ks else 0
         if self.ranking_names:
-            buf = (np.empty((1, self.n_items))
-                   if self.candidates is None else None)
             for lo in range(0, len(self.users)):
-                row = self._batch_scores(model, lo, lo + 1, out=buf)[0]
+                row = self._batch_scores(model, lo, lo + 1)[0]
                 top = np.argsort(-row, kind="stable")[:max_k]
                 rel = relevance_matrix(self.positives[lo:lo + 1], self.n_items)
                 collector.add_hits(index_hits(top[None, :], rel))

@@ -7,7 +7,8 @@ Every model exposes the same three entry points:
   models fit entirely on their first call and return 0.0 afterwards.
 * ``predict(batch)``         per-row scores for (user, item) pairs.
 * ``full_sort_predict(users)``  an (n_users_in_batch, n_items) score
-  matrix over the whole catalog, consistent with ``predict``.
+  matrix over the whole catalog, consistent with ``predict``.  It is a
+  new array that the caller owns: the evaluator masks it in place.
 
 Iterative models additionally yield their own epoch batches through
 ``epoch_batches(rng)`` so the trainer stays model-agnostic.

@@ -14,7 +14,7 @@ import numpy as np
 from ..batch import Batch
 from ..errors import ModelError
 from .base import Model
-from .itemknn import binary_interaction_matrix
+from .itemitem import binary_interaction_matrix
 from .losses import PAIRWISE_LOSSES
 
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import Model
-from .itemknn import binary_interaction_matrix
+from .itemitem import ItemItemModel
 
 
-class EASEModel(Model):
+class EASEModel(ItemItemModel):
     """Ridge-regularized item-weight matrix with a zero diagonal.
 
     With X the binary user-item training matrix and G = X'X + l2*I:
@@ -17,61 +16,28 @@ class EASEModel(Model):
         P = G^-1
         B = I - P * diag(1 / diag(P)),  diag(B) = 0 exactly
 
-    and score(u) = X[u] @ B.  The solve is dense, sized for catalogs that
-    fit an n_items x n_items matrix in memory.
+    and score(u) = X[u] @ B, so the weight matrix ``W`` is ``B``.  The
+    solve is dense, sized for catalogs that fit an n_items x n_items
+    matrix in memory.
     """
 
     kind = "ease"
-    iterative = False
+    weights_key = "item_weights"
 
     def __init__(self, ds, train_rows, cfg, params=None, rng=None):
         super().__init__(ds, train_rows, cfg, params, rng)
         self.l2 = float(self.hyper.get("l2", 250.0))
         if self.l2 <= 0:
             raise ModelError("ease needs l2 > 0")
-        self.item_weights = None
-        self.train_matrix = None
 
-    def calculate_loss(self, batch):
-        if self.item_weights is not None:
-            return 0.0
-        users, items = self._pair_columns(batch)
-        X = binary_interaction_matrix(users, items, self.n_users, self.n_items)
+    @property
+    def item_weights(self):
+        return self.W
+
+    def _fit(self, X):
         gram = np.asarray((X.T @ X).todense(), dtype=np.float64)
         gram[np.diag_indices_from(gram)] += self.l2
         P = np.linalg.inv(gram)
         B = np.eye(self.n_items) - P / np.diag(P)[None, :]
         np.fill_diagonal(B, 0.0)
-        self.item_weights = B
-        self.train_matrix = X
-        return 0.0
-
-    def _require_fit(self):
-        if self.item_weights is None:
-            raise ModelError("ease model is not fitted yet")
-
-    def predict(self, batch):
-        self._require_fit()
-        users, items = self._pair_columns(batch)
-        scores = np.asarray(self.train_matrix[users] @ self.item_weights)
-        return scores[np.arange(len(items)), items]
-
-    def full_sort_predict(self, users):
-        self._require_fit()
-        return np.asarray(self.train_matrix[np.asarray(users)] @ self.item_weights)
-
-    def state_arrays(self):
-        self._require_fit()
-        coo = self.train_matrix.tocoo()
-        return {
-            "item_weights": self.item_weights,
-            "train_user": coo.row.astype(np.float64),
-            "train_item": coo.col.astype(np.float64),
-        }
-
-    def load_state_arrays(self, arrays):
-        self.item_weights = arrays["item_weights"].astype(np.float64)
-        users = arrays["train_user"].astype(np.int64)
-        items = arrays["train_item"].astype(np.int64)
-        self.train_matrix = binary_interaction_matrix(users, items,
-                                                      self.n_users, self.n_items)
+        return B

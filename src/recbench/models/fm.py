@@ -102,48 +102,40 @@ class FMModel(Model):
                 elif spec.ftype == FieldType.FLOAT:
                     push(spec.name, "float", 1, source)
         self.n_slots = offset
+        self._side_cols = {side: [c for c, slot in enumerate(self.slots)
+                                  if slot.source.startswith(side)]
+                           for side in ("user", "item")}
         self._user_rows = (_feature_row_lookup(ds.user_feat, ds.user_field, self.n_users)
                            if ds.user_feat is not None else None)
         self._item_rows = (_feature_row_lookup(ds.item_feat, ds.item_field, self.n_items)
                            if ds.item_feat is not None else None)
 
     def active_slots(self, users, items):
-        """(indices, values) matrices of shape (B, fields) for given pairs."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        """(indices, values) matrices of shape (B, fields) for given pairs.
+
+        Columns follow ``self.slots``; the per-row sums over them are
+        float reductions, so their order fixes the output bits.
+        """
         idx = np.empty((len(users), len(self.slots)), dtype=np.int64)
-        val = np.ones((len(users), len(self.slots)), dtype=np.float64)
-        for col, slot in enumerate(self.slots):
-            if slot.source == "user_id":
-                idx[:, col] = slot.offset + users
-                continue
-            if slot.source == "item_id":
-                idx[:, col] = slot.offset + items
-                continue
-            if slot.source == "user_feat":
-                rows, table = self._user_rows[users], self.ds.user_feat
-            else:
-                rows, table = self._item_rows[items], self.ds.item_feat
-            column = table.columns[slot.name]
-            present = rows >= 0
-            safe = np.where(present, rows, 0)
-            if slot.kind == "token":
-                ids = np.where(present, column[safe], 0)
-                idx[:, col] = slot.offset + ids
-            else:
-                idx[:, col] = slot.offset
-                values = np.where(present, column[safe], 0.0)
-                val[:, col] = np.nan_to_num(values, nan=0.0)
+        val = np.empty((len(users), len(self.slots)), dtype=np.float64)
+        for side, entities in (("user", users), ("item", items)):
+            cols = self._side_cols[side]
+            idx[:, cols], val[:, cols] = self._side_half(
+                np.asarray(entities, dtype=np.int64), side)
         return idx, val
 
     # -- forward / backward --------------------------------------------------
 
-    def score_logits_from_slots(self, idx, val):
+    def _forward(self, idx, val):
+        """Logits of the rows' active slots, with the factor terms reused."""
         linear = self.w0 + (self.w[idx] * val).sum(axis=1)
         vx = self.v[idx] * val[:, :, None]
         total = vx.sum(axis=1)
-        squares = (vx ** 2).sum(axis=1)
-        return linear + 0.5 * (total ** 2 - squares).sum(axis=1)
+        logits = linear + 0.5 * (total ** 2 - (vx ** 2).sum(axis=1)).sum(axis=1)
+        return logits, vx, total
+
+    def score_logits_from_slots(self, idx, val):
+        return self._forward(idx, val)[0]
 
     def score_logits(self, batch):
         users, items = self._pair_columns(batch)
@@ -169,13 +161,12 @@ class FMModel(Model):
         return expit(self.w0 + lin_u[:, None] + lin_i[None, :] + pair)
 
     def _side_half(self, entities, side):
-        source_id = "user_id" if side == "user" else "item_id"
-        cols = [s for s in self.slots
-                if s.source.startswith(side) or s.source == source_id]
+        """(indices, values) of one side's slots, in ``self.slots`` order."""
+        cols = [self.slots[c] for c in self._side_cols[side]]
         idx = np.empty((len(entities), len(cols)), dtype=np.int64)
         val = np.ones((len(entities), len(cols)), dtype=np.float64)
         for col, slot in enumerate(cols):
-            if slot.source == source_id:
+            if slot.source == f"{side}_id":
                 idx[:, col] = slot.offset + entities
                 continue
             rows = (self._user_rows if side == "user" else self._item_rows)[entities]
@@ -222,10 +213,7 @@ class FMModel(Model):
         users, items = self._pair_columns(batch)
         labels = batch[self.label_field]
         idx, val = self.active_slots(users, items)
-        linear = self.w0 + (self.w[idx] * val).sum(axis=1)
-        vx = self.v[idx] * val[:, :, None]
-        total = vx.sum(axis=1)
-        logits = linear + 0.5 * (total ** 2 - (vx ** 2).sum(axis=1)).sum(axis=1)
+        logits, vx, total = self._forward(idx, val)
         n = len(users)
         g_logit = logistic_loss_grad(logits, labels) * n  # mean -> per-row
         reg = 2.0 * self.cfg.l2

@@ -3,32 +3,24 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import _topk_np
 from ..errors import ModelError
-from .base import Model
+from .itemitem import ItemItemModel
 
 
-def binary_interaction_matrix(users, items, n_users, n_items):
-    """Sparse 0/1 user-item matrix; duplicate pairs collapse to 1."""
-    mat = sp.coo_matrix((np.ones(len(users), dtype=np.float64), (users, items)),
-                        shape=(n_users, n_items)).tocsr()
-    mat.data[:] = 1.0
-    return mat
-
-
-class ItemKNNModel(Model):
+class ItemKNNModel(ItemItemModel):
     """Cosine item-item neighborhoods with shrinkage.
 
     sim(i, j) = |U_i AND U_j| / (sqrt(|U_i|) * sqrt(|U_j|) + shrink),
     self-similarity excluded, only the top ``k`` neighbors per item kept
     (ties broken by ascending item ID).  score(u, i) sums sim(i, j) over
-    the user's training items j.
+    the user's training items j, so the weight matrix is ``sim.T``.
     """
 
     kind = "itemknn"
-    iterative = False
+    weights_key = "similarity"
+    _stored = staticmethod(np.transpose)
 
     def __init__(self, ds, train_rows, cfg, params=None, rng=None):
         super().__init__(ds, train_rows, cfg, params, rng)
@@ -38,60 +30,28 @@ class ItemKNNModel(Model):
             raise ModelError("itemknn needs k >= 1 neighbors")
         if self.shrink < 0:
             raise ModelError("itemknn shrink must be >= 0")
-        self.sim = None
-        self.train_matrix = None
 
-    def calculate_loss(self, batch):
-        if self.sim is not None:
-            return 0.0
-        users, items = self._pair_columns(batch)
-        X = binary_interaction_matrix(users, items, self.n_users, self.n_items)
+    @property
+    def sim(self):
+        """The pruned similarity matrix, a view of ``W.T``."""
+        return None if self.W is None else self.W.T
+
+    def _fit(self, X):
         co = np.asarray((X.T @ X).todense(), dtype=np.float64)
         # sqrt of the product keeps parallel item vectors at exactly 1.0
         denom = np.sqrt(np.outer(np.diag(co), np.diag(co))) + self.shrink
         with np.errstate(divide="ignore", invalid="ignore"):
             sim = np.where(denom > 0, co / denom, 0.0)
         np.fill_diagonal(sim, 0.0)
-        self.sim = self._prune(sim)
-        self.train_matrix = X
-        return 0.0
+        return self._prune_transposed(sim)
 
-    def _prune(self, sim):
+    def _prune_transposed(self, sim):
+        """``W`` = the transpose of ``sim`` with each row's top k kept."""
         m = sim.shape[0]
         k = min(self.k, m - 1) if m > 1 else 1
         keep_idx = _topk_np.topk_indices(sim, k)
-        pruned = np.zeros_like(sim)
+        W = np.zeros_like(sim)
         rows = np.repeat(np.arange(m), k)
         cols = keep_idx.ravel()
-        pruned[rows, cols] = sim[rows, cols]
-        return pruned
-
-    def _require_fit(self):
-        if self.sim is None:
-            raise ModelError("itemknn model is not fitted yet")
-
-    def predict(self, batch):
-        self._require_fit()
-        users, items = self._pair_columns(batch)
-        scores = np.asarray((self.train_matrix[users] @ self.sim.T))
-        return scores[np.arange(len(items)), items]
-
-    def full_sort_predict(self, users):
-        self._require_fit()
-        return np.asarray(self.train_matrix[np.asarray(users)] @ self.sim.T)
-
-    def state_arrays(self):
-        self._require_fit()
-        coo = self.train_matrix.tocoo()
-        return {
-            "similarity": self.sim,
-            "train_user": coo.row.astype(np.float64),
-            "train_item": coo.col.astype(np.float64),
-        }
-
-    def load_state_arrays(self, arrays):
-        self.sim = arrays["similarity"].astype(np.float64)
-        users = arrays["train_user"].astype(np.int64)
-        items = arrays["train_item"].astype(np.int64)
-        self.train_matrix = binary_interaction_matrix(users, items,
-                                                      self.n_users, self.n_items)
+        W[cols, rows] = sim[rows, cols]
+        return W

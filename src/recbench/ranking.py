@@ -17,10 +17,10 @@ matrix (n = users in the batch, m = catalog size):
              relevance matrix; :func:`index_hits` gathers from a dense
              :func:`relevance_matrix` and gives the same result.
 
-The topk step is the hot kernel.  A compiled extension
-(:mod:`recbench._topk_cy`) is used when available; a pure numpy
-implementation (:mod:`recbench._topk_np`) is the drop-in fallback.  Both
-produce bit-identical output, so the backend never affects results.
+The topk step is the hot kernel: :mod:`recbench._topk_np`, partial
+selection in numpy whose output is bit-identical to a stable full sort.
+It is the one backend; :func:`topk_find` still takes a ``backend`` name
+so callers and tests can select it explicitly.
 """
 
 from __future__ import annotations
@@ -32,18 +32,11 @@ import numpy as np
 from . import _topk_np
 from .errors import EvalError
 
-try:
-    from . import _topk_cy
-except ImportError:
-    _topk_cy = None
-
 NEG_INF = -np.inf
 
 _BACKENDS = {"numpy": _topk_np.topk_indices}
-if _topk_cy is not None:
-    _BACKENDS["cython"] = _topk_cy.topk_indices
 
-TOPK_BACKEND = "cython" if _topk_cy is not None else "numpy"
+TOPK_BACKEND = "numpy"
 
 
 def available_topk_backends():
@@ -54,8 +47,8 @@ def topk_find(scores, k, backend=None):
     """Indices of the k largest entries per row of ``scores``.
 
     Rows of the result are ordered by descending score; equal scores are
-    broken by ascending item index.  ``backend`` overrides the default
-    kernel (one of :func:`available_topk_backends`).
+    broken by ascending item index; a NaN score raises ``NaNScoreError``.
+    ``backend`` names the kernel (one of :func:`available_topk_backends`).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:

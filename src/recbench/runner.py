@@ -201,14 +201,18 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
     def checkpoint(path):
         save_state(path, _manifest(cfg, state, rng), model.state_arrays())
 
-    def finite(loss, epoch):
+    def train_epoch(batches, epoch):
+        # a diverging step overflows before its loss is checked; the check
+        # reports that as one error rather than as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = float(np.mean([model.calculate_loss(b) for b in batches]))
         if not math.isfinite(loss):
             raise ModelError(f"training diverged: epoch {epoch} loss is {loss} "
                              "(try a smaller learning rate)")
         return loss
 
     if not model.iterative:
-        loss = finite(float(model.calculate_loss(model.train_batch())), 1)
+        loss = train_epoch([model.train_batch()], 1)
         losses.append(loss)
         state.epoch = 1
         score = valid_scorer(model) if valid_scorer else None
@@ -224,8 +228,7 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
         return losses, scores, interrupted
 
     for epoch in range(state.epoch + 1, cfg.train.epochs + 1):
-        batch_losses = [model.calculate_loss(b) for b in model.epoch_batches(rng)]
-        epoch_loss = finite(float(np.mean(batch_losses)), epoch)
+        epoch_loss = train_epoch(model.epoch_batches(rng), epoch)
         losses.append(epoch_loss)
         state.epoch = epoch
         score = valid_scorer(model) if valid_scorer else None
@@ -259,28 +262,6 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
     return losses, scores, interrupted
 
 
-def _finalize(model, cfg, ds, split, plan, state, ckpt_best, out_dir, log) -> RunResult:
-    """Evaluate the best checkpoint on the test stage and write reports."""
-    manifest, arrays = load_state(ckpt_best)
-    model.load_state_arrays(arrays)
-    test_eval = _make_evaluator(ds, split, plan, cfg, list(cfg.metrics),
-                                list(cfg.topk), target="test")
-    if test_eval is None:
-        raise RecbenchError("test split is empty; nothing to evaluate")
-    report = test_eval.evaluate(model)
-    text_path = out_dir / "report.txt"
-    json_path = out_dir / "report.json"
-    text_path.write_text(report.to_text(), encoding="utf-8")
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    for key, value in report.values.items():
-        log.write(f"test {key} = {value!r}")
-    return RunResult(report=report, config_hash=cfg.hash,
-                     best_epoch=state.best_epoch, out_dir=out_dir,
-                     report_text_path=text_path, report_json_path=json_path,
-                     checkpoint_best=ckpt_best,
-                     checkpoint_last=out_dir / "model_last.ckpt")
-
-
 def _prepare(cfg: Config, log):
     for key, value in sorted(cfg.to_dict().items()):
         log.write(f"config.{key} = {value!r}")
@@ -311,35 +292,67 @@ def _valid_scorer(ds, split, plan, cfg):
     return scorer
 
 
-def run_experiment(cfg: Config, stop_after_epoch=None, echo=False) -> RunResult:
-    """Execute the full flow; see the module docstring."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log", echo=echo)
+def _train_and_report(cfg: Config, log, stop_after_epoch=None,
+                      resume=None) -> RunResult:
+    """The flow shared by a new and a resumed run: data, training, report.
+
+    ``resume`` is a checkpoint's ``(manifest, arrays)``; the model, RNG and
+    training state continue from it, and a finished run is only
+    re-evaluated.  The test stage scores the best checkpoint.
+    """
     ds, plan, split = _prepare(cfg, log)
     if len(split.train) == 0:
         raise RecbenchError("train split is empty")
     rng = np.random.default_rng(cfg.train.seed)
     model = build_model(cfg.model, ds, split.train, cfg.train,
                         params=cfg.model_params.get(cfg.model, {}), rng=rng)
-    scorer = _valid_scorer(ds, split, plan, cfg)
-    if scorer is None:
-        log.write("no validation targets; training runs all epochs")
-    ckpt_best = out_dir / "model_best.ckpt"
-    ckpt_last = out_dir / "model_last.ckpt"
     state = TrainState()
-    losses, scores, interrupted = _fit(model, cfg, rng, scorer, state,
-                                       ckpt_best, ckpt_last, log,
-                                       stop_after_epoch=stop_after_epoch)
-    if interrupted:
-        return RunResult(report=None, config_hash=cfg.hash, epoch_losses=losses,
-                         valid_scores=scores, best_epoch=state.best_epoch,
-                         interrupted=True, out_dir=out_dir,
-                         checkpoint_best=ckpt_best, checkpoint_last=ckpt_last)
-    result = _finalize(model, cfg, ds, split, plan, state, ckpt_best, out_dir, log)
-    result.epoch_losses = losses
-    result.valid_scores = scores
+    if resume is not None:
+        manifest, arrays = resume
+        model.load_state_arrays(arrays)
+        if manifest["rng_state"] is not None:
+            rng.bit_generator.state = manifest["rng_state"]
+        state = TrainState(epoch=manifest["epoch"],
+                           best_score=(math.nan if manifest["best_score"] is None
+                                       else manifest["best_score"]),
+                           best_epoch=manifest["best_epoch"],
+                           stale=manifest["stale"],
+                           finished=manifest["finished"])
+    out_dir = Path(cfg.out_dir)
+    result = RunResult(report=None, config_hash=cfg.hash, out_dir=out_dir,
+                       checkpoint_best=out_dir / "model_best.ckpt",
+                       checkpoint_last=out_dir / "model_last.ckpt")
+    if state.finished:
+        log.write("checkpoint already finished; re-emitting the report")
+    else:
+        scorer = _valid_scorer(ds, split, plan, cfg)
+        if scorer is None:
+            log.write("no validation targets; training runs all epochs")
+        result.epoch_losses, result.valid_scores, result.interrupted = _fit(
+            model, cfg, rng, scorer, state, result.checkpoint_best,
+            result.checkpoint_last, log, stop_after_epoch=stop_after_epoch)
+    result.best_epoch = state.best_epoch
+    if result.interrupted:
+        return result
+    model.load_state_arrays(load_state(result.checkpoint_best)[1])
+    test_eval = _make_evaluator(ds, split, plan, cfg, list(cfg.metrics),
+                                list(cfg.topk), target="test")
+    if test_eval is None:
+        raise RecbenchError("test split is empty; nothing to evaluate")
+    result.report = test_eval.evaluate(model)
+    result.report_text_path = out_dir / "report.txt"
+    result.report_json_path = out_dir / "report.json"
+    result.report_text_path.write_text(result.report.to_text(), encoding="utf-8")
+    result.report_json_path.write_text(result.report.to_json(), encoding="utf-8")
+    for key, value in result.report.values.items():
+        log.write(f"test {key} = {value!r}")
     return result
+
+
+def run_experiment(cfg: Config, stop_after_epoch=None, echo=False) -> RunResult:
+    """Execute the full flow; see the module docstring."""
+    log = RunLog(Path(cfg.out_dir) / "run.log", echo=echo)
+    return _train_and_report(cfg, log, stop_after_epoch)
 
 
 def resume_experiment(checkpoint_path, config_path=None, overrides=(),
@@ -368,39 +381,6 @@ def resume_experiment(checkpoint_path, config_path=None, overrides=(),
                   file=sys.stderr)
     else:
         cfg = stored_cfg
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log", echo=echo)
+    log = RunLog(Path(cfg.out_dir) / "run.log", echo=echo)
     log.write(f"resuming from {checkpoint_path} at epoch {manifest['epoch']}")
-    ds, plan, split = _prepare(cfg, log)
-    rng = np.random.default_rng(cfg.train.seed)
-    model = build_model(cfg.model, ds, split.train, cfg.train,
-                        params=cfg.model_params.get(cfg.model, {}), rng=rng)
-    model.load_state_arrays(arrays)
-    if manifest["rng_state"] is not None:
-        rng.bit_generator.state = manifest["rng_state"]
-    state = TrainState(epoch=manifest["epoch"],
-                       best_score=(math.nan if manifest["best_score"] is None
-                                   else manifest["best_score"]),
-                       best_epoch=manifest["best_epoch"],
-                       stale=manifest["stale"],
-                       finished=manifest["finished"])
-    ckpt_best = out_dir / "model_best.ckpt"
-    ckpt_last = out_dir / "model_last.ckpt"
-    losses, scores, interrupted = [], [], False
-    if state.finished:
-        log.write("checkpoint already finished; re-emitting the report")
-    else:
-        scorer = _valid_scorer(ds, split, plan, cfg)
-        losses, scores, interrupted = _fit(model, cfg, rng, scorer, state,
-                                           ckpt_best, ckpt_last, log,
-                                           stop_after_epoch=stop_after_epoch)
-    if interrupted:
-        return RunResult(report=None, config_hash=cfg.hash, epoch_losses=losses,
-                         valid_scores=scores, best_epoch=state.best_epoch,
-                         interrupted=True, out_dir=out_dir,
-                         checkpoint_best=ckpt_best, checkpoint_last=ckpt_last)
-    result = _finalize(model, cfg, ds, split, plan, state, ckpt_best, out_dir, log)
-    result.epoch_losses = losses
-    result.valid_scores = scores
-    return result
+    return _train_and_report(cfg, log, stop_after_epoch, (manifest, arrays))

@@ -6,7 +6,6 @@ import pytest
 
 from recbench import bench, ranking
 from recbench.bench import bench_eval
-from recbench.ranking import available_topk_backends
 
 
 class _TiedScores(bench.FixedScores):
@@ -44,13 +43,6 @@ class TestBenchEval:
         result = bench_eval(200, 300, k=10, repeats=1, seed=7)
         assert result.reports_identical is False
         assert "reports identical        : NO" in result.to_text()
-
-    def test_kernel_comparison_present_with_compiled_backend(self):
-        result = bench_eval(64, 128, k=5, repeats=2, seed=0)
-        if len(available_topk_backends()) > 1:
-            assert set(result.kernel_seconds) == {"cython", "numpy"}
-        else:
-            assert result.kernel_seconds == {}
 
     def test_deterministic_metrics(self):
         a = bench_eval(100, 150, k=5, repeats=1, seed=3)

@@ -114,6 +114,22 @@ class TestRun:
                 _, arrays = load_state(out / name)
                 assert all(np.isfinite(a).all() for a in arrays.values())
 
+    def test_diverged_training_prints_only_the_error_line(self, tmp_path):
+        users, items = planted_interactions(n_users=30, n_items=20,
+                                            top_frac=0.1, seed=6)
+        inter = write_inter_file(tmp_path / "p.inter",
+                                 [f"{u},{i}" for u, i in zip(users, items)])
+        proc = run_cli("run", "--set", f"inter_path={inter}",
+                       "--set", "model=bpr", "--set", "train.epochs=3",
+                       "--set", "train.learning_rate=1e200",
+                       "--set", "train.embedding_dim=8",
+                       "--set", "train.batch_size=64", "--set", "topk=[5]",
+                       "--set", "valid_metric=recall@5",
+                       "--set", f"out_dir={tmp_path / 'out'}", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr  # no numpy RuntimeWarning lines
+        assert lines[0].startswith("error: training diverged")
+
     def test_missing_path_fails(self):
         proc = run_cli("run", "--set", "model=popularity", "--quiet")
         assert proc.returncode == 1

@@ -151,6 +151,14 @@ class TestHandComputed:
         with pytest.raises(EvalError, match="unknown metric"):
             Evaluator(5, np.array([0]), [np.array([1])], ["coverage"], [1])
 
+    def test_nan_score_names_the_user(self, rng):
+        scores = rng.standard_normal((6, 9))
+        scores[4, 2] = np.nan
+        ev = Evaluator(9, np.array([10, 11, 12, 13, 14, 15]),
+                       [np.array([1])] * 6, ["recall"], [3], batch_size=3)
+        with pytest.raises(EvalError, match="NaN for user ID 14"):
+            ev.evaluate(FixedScores(np.vstack([np.zeros((10, 9)), scores])))
+
     def test_k_must_fit_catalog(self):
         with pytest.raises(EvalError, match="catalog"):
             Evaluator(3, np.array([0]), [np.array([1])], ["recall"], [3])

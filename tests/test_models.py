@@ -1,6 +1,7 @@
 """Model zoo: losses, training, scoring, and state round trips."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,8 @@ from recbench.models import (BPRModel, EASEModel, FMModel, ItemKNNModel,
                              PopularityModel, TrainConfig, bpr_loss,
                              bpr_loss_grad, build_model, load_state,
                              margin_loss, save_state)
+from recbench.protocol import build_candidates, make_split, parse_eval_setting
+from recbench.ranking import row_cells
 from tests.conftest import build_dataset
 
 
@@ -362,6 +365,48 @@ class TestBPRTraining:
 
 
 # ---------------------------------------------------------------------------
+# item-item scoring shared by itemknn and ease
+
+_ITEM_ITEM = [("itemknn", {"k": 5, "shrink": 1.0}), ("ease", {"l2": 3.0})]
+
+
+class TestItemItemScoring:
+    @pytest.mark.parametrize("kind,params", _ITEM_ITEM)
+    def test_predict_equals_full_sort_at_uni_candidates(self, kind, params, rng):
+        for seed in range(3):
+            ds = implicit_ds(rng, n_users=25, n_items=60, n_rows=300)
+            plan = parse_eval_setting("RO_LS,uni10", seed=seed)
+            split = make_split(ds, plan)
+            cand = build_candidates(ds, split, "uni", seed=seed, n_negatives=10)
+            rows, items = row_cells(cand.candidates)
+            users = cand.users[rows]
+            model = fit_closed_form(build_model(kind, ds, split.train,
+                                                TrainConfig(), params))
+            got = model.predict(Batch({"user_id": users, "item_id": items}))
+            full = model.full_sort_predict(np.arange(ds.n_users))
+            assert got.tobytes() == full[users, items].tobytes(), kind
+
+    @pytest.mark.parametrize("kind,params", _ITEM_ITEM)
+    def test_predict_memory_grows_with_users_not_pairs(self, kind, params):
+        rng = np.random.default_rng(3)
+        ds = implicit_ds(rng, n_users=40, n_items=800, n_rows=6000)
+        model = fit_closed_form(build_model(kind, ds, all_rows(ds),
+                                            TrainConfig(), params))
+        n_pairs = 20_000
+        batch = Batch({"user_id": rng.integers(1, ds.n_users, size=n_pairs),
+                       "item_id": rng.integers(1, ds.n_items, size=n_pairs)})
+        tracemalloc.start()
+        try:
+            model.predict(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 score row per distinct user plus O(1) words per pair;
+        # a row per pair would be n_pairs * n_items * 8 bytes = 128 MB
+        assert peak < 4 * ds.n_users * ds.n_items * 8 + 100 * n_pairs, peak
+
+
+# ---------------------------------------------------------------------------
 # fm
 
 
@@ -404,7 +449,85 @@ def _fm_dataset(rng):
     return set_label_by_threshold(ds, "rating", 4.0)
 
 
+def _fm_partial_feature_dataset(rng):
+    """User and item tables with a token and a float field each; some IDs
+    have no feature row and some floats are NaN."""
+    from recbench.dataset import Dataset, remap_ids
+    from recbench.tables import DataTable, FieldSpec, FieldType, TableKind
+
+    n = 150
+    inter = DataTable(TableKind.INTER,
+                      [FieldSpec("user_id", FieldType.TOKEN),
+                       FieldSpec("item_id", FieldType.TOKEN),
+                       FieldSpec("rating", FieldType.FLOAT)],
+                      {"user_id": [f"u{v}" for v in rng.integers(0, 20, size=n)],
+                       "item_id": [f"i{v}" for v in rng.integers(0, 25, size=n)],
+                       "rating": rng.integers(1, 6, size=n).astype(float)})
+
+    def side_table(kind, key, ids, token, number):
+        values = rng.uniform(-2, 2, size=len(ids))
+        values[::4] = np.nan
+        return DataTable(kind,
+                         [FieldSpec(key, FieldType.TOKEN),
+                          FieldSpec(token, FieldType.TOKEN),
+                          FieldSpec(number, FieldType.FLOAT)],
+                         {key: [f"{key[0]}{v}" for v in ids],
+                          token: [f"t{v % 3}" for v in ids], number: values})
+
+    user_feat = side_table(TableKind.USER, "user_id",
+                           [v for v in range(20) if v % 4], "band", "activity")
+    item_feat = side_table(TableKind.ITEM, "item_id",
+                           [v for v in range(25) if v % 3], "genre", "price")
+    ds = remap_ids(Dataset.build(inter, user_feat=user_feat, item_feat=item_feat))
+    return set_label_by_threshold(ds, "rating", 4.0)
+
+
+def _active_slots_reference(model, users, items):
+    """A per-slot loop over both sides at once; the bitwise reference."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    idx = np.empty((len(users), len(model.slots)), dtype=np.int64)
+    val = np.ones((len(users), len(model.slots)), dtype=np.float64)
+    for col, slot in enumerate(model.slots):
+        if slot.source == "user_id":
+            idx[:, col] = slot.offset + users
+            continue
+        if slot.source == "item_id":
+            idx[:, col] = slot.offset + items
+            continue
+        if slot.source == "user_feat":
+            rows, table = model._user_rows[users], model.ds.user_feat
+        else:
+            rows, table = model._item_rows[items], model.ds.item_feat
+        column = table.columns[slot.name]
+        present = rows >= 0
+        safe = np.where(present, rows, 0)
+        if slot.kind == "token":
+            idx[:, col] = slot.offset + np.where(present, column[safe], 0)
+        else:
+            idx[:, col] = slot.offset
+            values = np.where(present, column[safe], 0.0)
+            val[:, col] = np.nan_to_num(values, nan=0.0)
+    return idx, val
+
+
 class TestFM:
+    def test_active_slots_match_per_slot_reference(self, rng):
+        ds = _fm_partial_feature_dataset(rng)
+        model = FMModel(ds, all_rows(ds), TrainConfig(embedding_dim=3),
+                        rng=np.random.default_rng(0))
+        assert {(s.source, s.kind) for s in model.slots} >= {
+            ("user_feat", "token"), ("user_feat", "float"),
+            ("item_feat", "token"), ("item_feat", "float")}
+        users = np.concatenate([[0], np.arange(ds.n_users), ds.user_ids()])
+        items = np.concatenate([[0], rng.integers(0, ds.n_items, ds.n_users),
+                                ds.item_ids()])
+        got = model.active_slots(users, items)
+        expected = _active_slots_reference(model, users, items)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (got[1] != 1.0).any()  # float slots carry their values
+
     def test_missing_label_column(self, rng):
         ds = implicit_ds(rng)
         with pytest.raises(ModelError, match="label"):

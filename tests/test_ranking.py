@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from recbench import _topk_np
-from recbench.errors import EvalError
+from recbench.errors import EvalError, NaNScoreError
 from recbench.ranking import (NEG_INF, available_topk_backends, index_hits,
                               mask_training_items, positive_hits,
                               relevance_matrix, reshape_scores, topk_find)
@@ -49,15 +52,41 @@ class TestTopkFind:
                 assert list(got[r]) == _sort_oracle(scores[r], k), \
                     f"trial {trial} row {r} backend {backend}"
 
-    def test_backends_bit_identical(self, rng):
-        backends = available_topk_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled kernel not built")
-        for _ in range(100):
-            scores = np.round(rng.standard_normal((8, 60)), 1)
-            outs = [topk_find(scores, 7, backend=b) for b in backends]
-            for other in outs[1:]:
-                np.testing.assert_array_equal(outs[0], other)
+
+# few distinct values, so rows are full of ties, and -inf sentinels
+_TIED_SCORES = st.sampled_from([NEG_INF, -1.5, 0.0, 0.25, 1.0, 2.0])
+
+
+@st.composite
+def _score_matrix_and_k(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 300))
+    scores = draw(arrays(np.float64, (n, m),
+                         elements=_TIED_SCORES | st.floats(-3, 3)))
+    return scores, draw(st.integers(1, m))
+
+
+class TestTopkProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_score_matrix_and_k())
+    def test_equals_stable_argsort(self, case):
+        scores, k = case
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(topk_find(scores, k), expected)
+
+
+class TestNaNScores:
+    def test_nan_row_raises(self):
+        row = np.array([[np.nan, .5, np.nan, np.nan, .1, np.nan, np.nan]])
+        with pytest.raises(EvalError, match="NaN score in row 0"):
+            topk_find(row, 4)
+
+    def test_error_names_first_nan_row_past_first_block(self, rng):
+        scores = rng.standard_normal((300, 50))
+        scores[[201, 260], [7, 3]] = np.nan
+        with pytest.raises(NaNScoreError) as info:
+            topk_find(scores, 5)
+        assert info.value.row == 201
 
 
 class TestNumpyTieRepair:
