@@ -14,8 +14,7 @@ from .dataset import (Dataset, Interval, ValueSet, Vocabulary, fill_nan,
 from .errors import RecbenchError
 from .evaluator import Evaluator, MetricReport, evaluate
 from .protocol import (CandidateSet, EvalPlan, SplitResult, build_candidates,
-                       group_by_user, make_split, order_rows,
-                       parse_eval_setting, split_rows)
+                       make_split, parse_eval_setting)
 from .ranking import (TOPK_BACKEND, HitMatrix, available_topk_backends,
                       index_hits, mask_training_items, reshape_scores,
                       topk_find)
@@ -33,8 +32,7 @@ __all__ = [
     "set_label_by_threshold", "normalize",
     "Batch", "batch_from_table",
     "EvalPlan", "SplitResult", "CandidateSet", "parse_eval_setting",
-    "group_by_user", "order_rows", "split_rows", "build_candidates",
-    "make_split",
+    "build_candidates", "make_split",
     "TOPK_BACKEND", "available_topk_backends", "topk_find", "reshape_scores",
     "mask_training_items", "index_hits", "HitMatrix",
     "Evaluator", "MetricReport", "evaluate",

@@ -4,10 +4,6 @@ A :class:`Batch` maps field names to equal-length numpy columns: int64 IDs
 for token fields, float64 for float fields, and 2-D arrays (padded to a
 shared length with 0) for sequence fields.  Batches are value-like; every
 operation returns a new batch and never mutates its input.
-
-This engine is CPU-only, so the device-transfer surface (``to``, ``cpu``,
-``numpy``) is an explicit no-op: columns already live in host memory as
-numpy arrays.
 """
 
 from __future__ import annotations
@@ -73,16 +69,6 @@ class Batch(Mapping):
                 col = np.repeat(col, len(self), axis=0)
             merged[name] = col
         return Batch(merged)
-
-    # CPU-only engine: device transfers are identity by contract.
-    def to(self, device=None):
-        return self
-
-    def cpu(self):
-        return self
-
-    def numpy(self):
-        return self
 
     def __repr__(self):
         return f"Batch(length={self._length}, fields={self.fields})"

@@ -117,13 +117,6 @@ class Dataset:
         self._require_encoded()
         return self.inter.columns[self.item_field]
 
-    def find_field(self, name):
-        """Locate ``name`` across tables; returns (table attr, FieldSpec)."""
-        for attr, table in self.tables:
-            if table.has_field(name):
-                return attr, table.field(name)
-        raise DataError(f"unknown field {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # row filtering

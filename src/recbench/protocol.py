@@ -1,4 +1,4 @@
-"""Evaluation protocols: grouping, ordering, splitting, candidate sampling.
+"""Evaluation protocols: ordering, splitting, candidate sampling.
 
 A protocol is described by a compact setting string, used verbatim on the
 command line::
@@ -14,18 +14,23 @@ command line::
   2-row users to train+test).  Under RO_LS "last" means the last element
   of the shuffled order.
 * ``full`` / ``uniN``  rank against the whole catalog, or against each
-  test positive's N uniformly sampled negatives (negatives never collide
-  with any of the user's known interactions, across all three splits).
+  target positive's N uniformly sampled negatives (negatives never
+  collide with any of the user's known interactions, across all three
+  splits).
 
 All operations are pure functions of (dataset, plan, seed).  Per-user RNG
 streams are derived from (seed, purpose, user ID), so results do not
-depend on scheduling or user evaluation order.
+depend on scheduling or user evaluation order.  The shuffle, the valid
+negatives and the test negatives each have their own purpose, so the
+valid candidates are drawn independently of the test ones.
 
 Per-user grouping has one implementation, :func:`user_index`: one sort of
 ``user * width + value`` keys gives each user's sorted distinct values as
-CSR arrays.  Row groups, positives, histories and the uniN known-item sets
-are all read from it.  A uniN draw never scans the catalog: each positive
-draws N distinct indices into the user's eligible items with
+CSR arrays.  The split reads it directly: it orders each user's segment of
+the flat row array in place and cuts all segments in one vectorised pass.
+Positives, histories and the uniN known-item sets are read from it too.
+A uniN draw never scans the catalog: each positive draws N distinct
+indices into the user's eligible items with
 ``rng.choice(n_eligible, N, replace=False)``, and each index is mapped to
 its item by a binary search over the user's sorted known items.  The
 draws are the ones ``rng.choice(eligible_items, N, replace=False)`` gives.
@@ -45,7 +50,8 @@ _SETTING_RE = re.compile(r"(RO|TO)_(RS|LS),(full|uni([1-9][0-9]*))\Z")
 
 # purpose tags for per-user RNG stream derivation
 _RNG_ORDER = 1
-_RNG_NEGATIVES = 2
+_RNG_NEGATIVES = 2          # test candidates
+_RNG_VALID_NEGATIVES = 3    # valid candidates
 
 
 def user_rng(seed, purpose, user_id):
@@ -61,7 +67,6 @@ class EvalPlan:
     ratios: tuple = (0.8, 0.1, 0.1)    # RS only: train/valid/test
     candidates: str = "full"           # "full" | "uni"
     n_negatives: int = 0               # uni only
-    group_by_user: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -92,8 +97,8 @@ def parse_eval_setting(spec, seed=0, ratios=(0.8, 0.1, 0.1)) -> EvalPlan:
                             "(expected (RO|TO)_(RS|LS),(full|uni<N>))")
     ordering, splitting, cand, n = m.groups()
     if cand == "full":
-        return EvalPlan(ordering, splitting, tuple(ratios), "full", 0, True, seed)
-    return EvalPlan(ordering, splitting, tuple(ratios), "uni", int(n), True, seed)
+        return EvalPlan(ordering, splitting, tuple(ratios), "full", 0, seed)
+    return EvalPlan(ordering, splitting, tuple(ratios), "uni", int(n), seed)
 
 
 @dataclass(frozen=True)
@@ -103,10 +108,6 @@ class SplitResult:
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-
-    @property
-    def parts(self):
-        return {"train": self.train, "valid": self.valid, "test": self.test}
 
 
 @dataclass(frozen=True)
@@ -141,109 +142,34 @@ def user_index(users, values, width):
     return owners[starts], np.append(starts, len(keys)), keys
 
 
-def _as_dict(users, indptr, values):
-    # copies, not views: with views into the one index array, evaluating
-    # a 2,135-user full-ranking run kept about 4 MB more memory resident
-    return {int(u): values[indptr[i]:indptr[i + 1]].copy()
-            for i, u in enumerate(users)}
-
-
-def group_by_user(ds: Dataset) -> dict:
-    """Map each user ID to its interaction row indices, in file order."""
-    users = ds.user_ids()
-    if len(users) == 0:
-        raise ProtocolError("cannot group an empty interaction table")
-    return _as_dict(*user_index(users, np.arange(len(users)), len(users)))
-
-
-def order_rows(groups, mode, seed=0, timestamps=None) -> dict:
-    """Order each group's rows: RO = seeded per-user shuffle, TO = by time.
-
-    TO sorts ascending by timestamp and is stable, so equal timestamps
-    keep their file order.
-    """
-    if mode == "RO":
-        out = {}
-        for uid, rows in groups.items():
-            perm = user_rng(seed, _RNG_ORDER, uid).permutation(len(rows))
-            out[uid] = rows[perm]
-        return out
-    if mode == "TO":
-        if timestamps is None:
-            raise ProtocolError("temporal ordering requires a timestamp field")
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        out = {}
-        for uid, rows in groups.items():
-            out[uid] = rows[np.argsort(timestamps[rows], kind="stable")]
-        return out
-    raise ProtocolError(f"unknown ordering {mode!r}")
-
-
-def split_rows(ordered_groups, plan: EvalPlan) -> SplitResult:
-    """Partition each ordered group into train/valid/test per the plan."""
-    train, valid, test = [], [], []
-    for uid in ordered_groups:
-        rows = ordered_groups[uid]
-        g = len(rows)
-        if plan.splitting == "RS":
-            n_train = int(plan.ratios[0] * g)
-            n_valid = int(plan.ratios[1] * g)
-            train.append(rows[:n_train])
-            valid.append(rows[n_train:n_train + n_valid])
-            test.append(rows[n_train + n_valid:])
-        else:  # LS
-            if g == 1:
-                train.append(rows)
-            elif g == 2:
-                train.append(rows[:1])
-                test.append(rows[1:])
-            else:
-                train.append(rows[:-2])
-                valid.append(rows[-2:-1])
-                test.append(rows[-1:])
-    def cat(parts):
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts).astype(np.int64)
-
-    return SplitResult(cat(train), cat(valid), cat(test))
-
-
-def positives_by_user(ds: Dataset, rows, label_field="label"):
-    """Group the item IDs of ``rows`` by user, sorted and de-duplicated.
-
-    If a label column exists, only rows labeled 1 count as positives
-    (all rows still count as known history for exclusion purposes).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if ds.inter.has_field(label_field):
-        labels = ds.inter.columns[label_field][rows]
-        rows = rows[labels > 0]
-    return history_by_user(ds, rows)
-
-
 def history_by_user(ds: Dataset, rows):
     """Group ALL item IDs of ``rows`` by user (no label filtering)."""
     rows = np.asarray(rows, dtype=np.int64)
-    return _as_dict(*user_index(ds.user_ids()[rows], ds.item_ids()[rows], ds.n_items))
+    users, indptr, items = user_index(ds.user_ids()[rows], ds.item_ids()[rows], ds.n_items)
+    return {int(u): items[indptr[i]:indptr[i + 1]].copy() for i, u in enumerate(users)}
 
 
 def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
                      n_negatives=0, target="test") -> CandidateSet:
     """Build the ranking positives and candidate items for each user.
 
-    ``full`` ranks against the entire catalog.  ``uni`` samples, for each
-    of a user's target positives, ``n_negatives`` distinct items uniformly
-    from the catalog excluding every item the user interacted with in any
-    split (and the padding slot).  Sampling uses a per-user stream derived
-    from (seed, user ID), so it is deterministic and order-independent.
+    A user's positives are the sorted distinct items of its target rows;
+    if a ``label`` column exists, only rows labeled 1 count.  ``full``
+    ranks against the entire catalog.  ``uni`` samples, for each of a
+    user's target positives, ``n_negatives`` distinct items uniformly from
+    the catalog excluding every item the user interacted with in any split
+    (and the padding slot).  Sampling uses a per-user stream derived from
+    (seed, target, user ID), so it is deterministic and order-independent,
+    and the valid and test negatives are independent draws.
     """
     if target not in ("test", "valid"):
         raise ProtocolError(f"unknown candidate target {target!r}")
     target_rows = split.test if target == "test" else split.valid
-    pos = positives_by_user(ds, target_rows)
-    users = np.array(sorted(pos), dtype=np.int64)
-    positives = [pos[int(u)] for u in users]
+    if ds.inter.has_field("label"):
+        target_rows = target_rows[ds.inter.columns["label"][target_rows] > 0]
+    users, ptr, items = user_index(ds.user_ids()[target_rows],
+                                   ds.item_ids()[target_rows], ds.n_items)
+    positives = [items[lo:hi].copy() for lo, hi in zip(ptr[:-1], ptr[1:])]
     n_items = ds.n_items
     if mode == "full":
         return CandidateSet("full", users, positives, None, n_items)
@@ -260,6 +186,7 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
         np.concatenate([ds.item_ids()[rows], np.zeros(len(rows), np.int64)]),
         n_items)
     below = known - np.arange(len(known)) + np.repeat(k_ptr[:-1], np.diff(k_ptr))
+    purpose = _RNG_NEGATIVES if target == "test" else _RNG_VALID_NEGATIVES
     candidates = []
     for u, p, j in zip(users, positives, np.searchsorted(k_users, users)):
         lo, hi = k_ptr[j], k_ptr[j + 1]
@@ -268,7 +195,7 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
             raise ProtocolError(
                 f"user {int(u)}: only {n_eligible} items are eligible as "
                 f"negatives, fewer than N={n_negatives}")
-        rng = user_rng(seed, _RNG_NEGATIVES, u)
+        rng = user_rng(seed, purpose, u)
         idx = np.concatenate([rng.choice(n_eligible, size=n_negatives, replace=False)
                               for _ in p])
         # the idx-th eligible item skips each known item with below <= idx
@@ -281,12 +208,37 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
 
 
 def make_split(ds: Dataset, plan: EvalPlan, time_field="timestamp") -> SplitResult:
-    """Group, order, and split in one call per the plan."""
-    groups = group_by_user(ds)
-    ts = None
+    """Order each user's rows and split them into train/valid/test per the plan.
+
+    One :func:`user_index` call groups the row indices by user, in file
+    order.  Each user's segment of that flat array is then ordered in
+    place, and one vectorised pass cuts every segment at its two split
+    points.
+    """
+    user_col = ds.user_ids()
+    n = len(user_col)
+    if n == 0:
+        raise ProtocolError("cannot group an empty interaction table")
     if plan.ordering == "TO":
         if not ds.inter.has_field(time_field):
             raise ProtocolError(f"temporal ordering requires the {time_field!r} field")
-        ts = ds.inter.columns[time_field]
-    ordered = order_rows(groups, plan.ordering, plan.seed, ts)
-    return split_rows(ordered, plan)
+        ts = np.asarray(ds.inter.columns[time_field], dtype=np.float64)
+    users, indptr, rows = user_index(user_col, np.arange(n), n)
+    for u, lo, hi in zip(users.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()):
+        seg = rows[lo:hi]
+        if plan.ordering == "RO":
+            seg[:] = seg[user_rng(plan.seed, _RNG_ORDER, u).permutation(hi - lo)]
+        else:
+            seg[:] = seg[np.argsort(ts[seg], kind="stable")]
+    sizes = np.diff(indptr)
+    if plan.splitting == "RS":  # floors for train and valid, the rest to test
+        n_train = (plan.ratios[0] * sizes).astype(np.int64)
+        n_valid = (plan.ratios[1] * sizes).astype(np.int64)
+    else:  # LS: a 1-row user keeps its row in train, a 2-row user has no valid row
+        n_valid = (sizes > 2).astype(np.int64)
+        n_train = sizes - (sizes > 1) - n_valid
+    at = np.arange(n)
+    train_end = np.repeat(indptr[:-1] + n_train, sizes)
+    valid_end = train_end + np.repeat(n_valid, sizes)
+    return SplitResult(rows[at < train_end], rows[(at >= train_end) & (at < valid_end)],
+                       rows[at >= valid_end])

@@ -19,7 +19,6 @@ Other samplers (Bayesian and friends) can slot in behind the same
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,9 +64,9 @@ class SearchSpace:
         return {name: out[name] for name in self.params}
 
     def all_assignments(self):
-        names = list(self.params)
-        for combo in itertools.product(*(self.params[n] for n in names)):
-            yield dict(zip(names, combo))
+        """Every assignment in index order: the last parameter varies fastest."""
+        for index in range(self.size):
+            yield self.assignment(index)
 
 
 def parse_range_file(path) -> SearchSpace:

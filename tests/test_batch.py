@@ -72,14 +72,6 @@ class TestUpdate:
         np.testing.assert_array_equal(merged["b"], [5, 5, 5, 5])
 
 
-class TestDeviceNoOps:
-    def test_identity_contract(self):
-        b = Batch({"a": np.arange(3)})
-        assert b.to("anything") is b
-        assert b.cpu() is b
-        assert b.numpy() is b
-
-
 class TestFromTable:
     def test_builds_padded_batches(self, tmp_path):
         ds = build_dataset(["u1", "u2"], ["i1", "i2"], ratings=[1.0, 2.0])

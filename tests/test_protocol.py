@@ -7,9 +7,8 @@ import pytest
 
 from recbench import protocol
 from recbench.errors import ProtocolError
-from recbench.protocol import (EvalPlan, build_candidates, group_by_user,
-                               history_by_user, make_split, order_rows,
-                               parse_eval_setting, split_rows)
+from recbench.protocol import (EvalPlan, build_candidates, history_by_user,
+                               make_split, parse_eval_setting)
 from tests.conftest import build_dataset
 
 
@@ -47,49 +46,61 @@ class TestParseEvalSetting:
             EvalPlan("RO", "RS", ratios=(0.5, 0.4, 0.2))
 
 
+def _ordered(ds, spec):
+    """A one-user dataset's rows in split order: train, then valid, then test."""
+    split = make_split(ds, parse_eval_setting(spec))
+    return np.concatenate([split.train, split.valid, split.test])
+
+
 class TestGroupByUser:
+    """``make_split`` groups rows by ascending user ID, each in file order."""
+
     def test_two_users(self):
-        ds = build_dataset(["a", "b", "a", "b"], ["x", "y", "z", "w"])
-        groups = group_by_user(ds)
-        assert len(groups) == 2
-        np.testing.assert_array_equal(groups[1], [0, 2])
-        np.testing.assert_array_equal(groups[2], [1, 3])
+        ds = build_dataset(["a", "b", "a", "b"], ["x", "y", "z", "w"],
+                           timestamps=[1.0] * 4)
+        split = make_split(ds, parse_eval_setting("TO_LS,full"))
+        np.testing.assert_array_equal(split.train, [0, 1])
+        np.testing.assert_array_equal(split.valid, [])
+        np.testing.assert_array_equal(split.test, [2, 3])
 
     def test_single_user(self):
-        ds = build_dataset(["a", "a", "a"], ["x", "y", "z"])
-        groups = group_by_user(ds)
-        np.testing.assert_array_equal(groups[1], [0, 1, 2])
+        ds = build_dataset(["a", "a", "a"], ["x", "y", "z"], timestamps=[1.0] * 3)
+        np.testing.assert_array_equal(_ordered(ds, "TO_LS,full"), [0, 1, 2])
 
     def test_sizes_sum_to_row_count(self, rng):
         for _ in range(30):
             ds = _random_dataset(rng)
-            groups = group_by_user(ds)
             # counting oracle
             counts = {}
             for u in ds.user_ids():
                 counts[int(u)] = counts.get(int(u), 0) + 1
-            assert {u: len(g) for u, g in groups.items()} == counts
+            for spec in ("RO_RS,full", "TO_LS,full"):
+                split = make_split(ds, parse_eval_setting(spec, seed=1))
+                got = {}
+                for part in (split.train, split.valid, split.test):
+                    for u in ds.user_ids()[part]:
+                        got[int(u)] = got.get(int(u), 0) + 1
+                assert got == counts
 
 
 class TestOrderRows:
+    """``make_split`` orders each user's rows before cutting them."""
+
     def test_temporal_sorts_ascending(self):
         ds = build_dataset(["a", "a", "a"], ["x", "y", "z"],
                            timestamps=[5.0, 1.0, 3.0])
-        groups = group_by_user(ds)
-        ordered = order_rows(groups, "TO",
-                             timestamps=ds.inter.columns["timestamp"])
-        np.testing.assert_array_equal(ordered[1], [1, 2, 0])
+        np.testing.assert_array_equal(_ordered(ds, "TO_LS,full"), [1, 2, 0])
 
     def test_random_is_reproducible(self):
         ds = build_dataset([f"u{i%4}" for i in range(20)],
                            [f"i{i}" for i in range(20)])
-        groups = group_by_user(ds)
-        a = order_rows(groups, "RO", seed=9)
-        b = order_rows(groups, "RO", seed=9)
-        for uid in groups:
-            np.testing.assert_array_equal(a[uid], b[uid])
-        c = order_rows(groups, "RO", seed=10)
-        assert any(not np.array_equal(a[u], c[u]) for u in groups)
+        a = make_split(ds, parse_eval_setting("RO_LS,full", seed=9))
+        b = make_split(ds, parse_eval_setting("RO_LS,full", seed=9))
+        c = make_split(ds, parse_eval_setting("RO_LS,full", seed=10))
+        for x, y in zip((a.train, a.valid, a.test), (b.train, b.valid, b.test)):
+            np.testing.assert_array_equal(x, y)
+        assert any(not np.array_equal(x, y)
+                   for x, y in zip((a.train, a.valid, a.test), (c.train, c.valid, c.test)))
 
     def test_temporal_ties_keep_file_order(self, rng):
         for _ in range(30):
@@ -97,38 +108,29 @@ class TestOrderRows:
             ts = rng.integers(0, 4, size=n).astype(float)  # many ties
             ds = build_dataset(["a"] * n, [f"i{i}" for i in range(n)],
                                timestamps=ts)
-            groups = group_by_user(ds)
-            ordered = order_rows(groups, "TO", timestamps=ts)[1]
             # stable-sort oracle on (timestamp, original position)
             oracle = sorted(range(n), key=lambda r: (ts[r], r))
-            np.testing.assert_array_equal(ordered, oracle)
+            np.testing.assert_array_equal(_ordered(ds, "TO_LS,full"), oracle)
 
     def test_to_requires_timestamps(self):
         ds = build_dataset(["a"], ["x"])
         with pytest.raises(ProtocolError, match="timestamp"):
-            order_rows(group_by_user(ds), "TO")
+            make_split(ds, parse_eval_setting("TO_RS,full"))
 
 
 class TestSplitRows:
     def test_ratio_8_1_1_on_group_of_10(self):
         ds = build_dataset(["a"] * 10, [f"i{i}" for i in range(10)])
-        plan = EvalPlan("RO", "RS", seed=0)
-        groups = group_by_user(ds)
-        ordered = order_rows(groups, "RO", seed=0)
-        split = split_rows(ordered, plan)
+        split = make_split(ds, EvalPlan("RO", "RS", seed=0))
         assert (len(split.train), len(split.valid), len(split.test)) == (8, 1, 1)
 
     def test_leave_one_out_on_ordered_group(self):
         ds = build_dataset(["a"] * 4, ["w", "x", "y", "z"],
                            timestamps=[1.0, 2.0, 3.0, 4.0])
-        plan = EvalPlan("TO", "LS", seed=0)
-        groups = group_by_user(ds)
-        ordered = order_rows(groups, "TO", timestamps=ds.inter.columns["timestamp"])
-        split = split_rows(ordered, plan)
+        split = make_split(ds, EvalPlan("TO", "LS", seed=0))
         np.testing.assert_array_equal(split.train, [0, 1])
         np.testing.assert_array_equal(split.valid, [2])
         np.testing.assert_array_equal(split.test, [3])
-
     def test_leave_one_out_degenerate_groups(self):
         ds = build_dataset(["solo", "duo", "duo"], ["x", "y", "z"],
                            timestamps=[1.0, 1.0, 2.0])
@@ -171,6 +173,95 @@ class TestSplitRows:
             for row in split.test:
                 uid = users[row]
                 assert ts[row] >= ts[users == uid].max() - 1e-12
+
+
+def _group_order_split(ds, plan, time_field="timestamp"):
+    """Reference split: per-user dicts of row indices, ordered, then cut.
+
+    Returns (train, valid, test), or the ProtocolError message.
+    """
+    user_col = ds.user_ids()
+    groups = {}
+    for row, u in enumerate(user_col):
+        groups.setdefault(int(u), []).append(row)
+    ordered = {}
+    for u in sorted(groups):
+        rows = np.array(groups[u], dtype=np.int64)
+        if plan.ordering == "RO":
+            perm = protocol.user_rng(plan.seed, protocol._RNG_ORDER, u).permutation(len(rows))
+            ordered[u] = rows[perm]
+        else:
+            if not ds.inter.has_field(time_field):
+                return f"temporal ordering requires the {time_field!r} field"
+            ts = np.asarray(ds.inter.columns[time_field], dtype=np.float64)
+            ordered[u] = rows[np.argsort(ts[rows], kind="stable")]
+    train, valid, test = [], [], []
+    for rows in ordered.values():
+        g = len(rows)
+        if plan.splitting == "RS":
+            n_train = int(plan.ratios[0] * g)
+            n_valid = int(plan.ratios[1] * g)
+            train.append(rows[:n_train])
+            valid.append(rows[n_train:n_train + n_valid])
+            test.append(rows[n_train + n_valid:])
+        elif g == 1:
+            train.append(rows)
+        elif g == 2:
+            train.append(rows[:1])
+            test.append(rows[1:])
+        else:
+            train.append(rows[:-2])
+            valid.append(rows[-2:-1])
+            test.append(rows[-1:])
+
+    def cat(parts):
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts).astype(np.int64)
+
+    return cat(train), cat(valid), cat(test)
+
+
+class TestSplitOracle:
+    """``make_split`` equals the per-user dict pipeline it replaced, bit for bit."""
+
+    def _assert_matches(self, ds, plan):
+        want = _group_order_split(ds, plan)
+        if isinstance(want, str):
+            with pytest.raises(ProtocolError, match=f"^{want}$"):
+                make_split(ds, plan)
+            return
+        got = make_split(ds, plan)
+        for name, a, b in zip(("train", "valid", "test"),
+                              (got.train, got.valid, got.test), want):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert a.dtype == b.dtype, name
+
+    def test_random_datasets(self, rng):
+        specs = ("RO_RS", "TO_RS", "RO_LS", "TO_LS")
+        for trial in range(80):
+            # few timestamp values: ties; up to 30 users: 1-row and 2-row users
+            n = int(rng.integers(1, 80))
+            users = [f"u{v}" for v in rng.integers(0, int(rng.integers(1, 30)), size=n)]
+            items = [f"i{v}" for v in rng.integers(0, 20, size=n)]
+            ts = rng.integers(0, 5, size=n).astype(float)
+            ds = build_dataset(users, items, timestamps=ts)
+            ratios = ((0.8, 0.1, 0.1), (0.6, 0.25, 0.15))[trial % 2]
+            for spec in specs:
+                plan = parse_eval_setting(spec + ",full", seed=trial, ratios=ratios)
+                self._assert_matches(ds, plan)
+
+    def test_degenerate_groups(self):
+        ds = build_dataset(["solo", "duo", "duo", "trio", "trio", "trio"],
+                           [f"i{k}" for k in range(6)], timestamps=[2.0, 1.0, 1.0, 3.0, 1.0, 2.0])
+        for spec in ("RO_RS", "TO_RS", "RO_LS", "TO_LS"):
+            for seed in range(5):
+                self._assert_matches(ds, parse_eval_setting(spec + ",full", seed=seed))
+
+    def test_missing_timestamp_field(self):
+        ds = build_dataset(["a", "a", "b"], ["x", "y", "z"])
+        self._assert_matches(ds, parse_eval_setting("TO_LS,full"))
+        self._assert_matches(ds, parse_eval_setting("RO_LS,full", seed=3))
 
 
 class TestBuildCandidates:
@@ -251,6 +342,29 @@ class TestBuildCandidates:
         cand = build_candidates(ds, split, "full", seed=0, target="valid")
         assert len(cand.users) == 1
 
+    @pytest.mark.parametrize("mode", ["full", "uni"])
+    def test_empty_target(self, mode):
+        # 1-row users only: LS puts every row in train
+        ds = build_dataset(["a", "b", "c"], ["x", "y", "z"])
+        split = make_split(ds, parse_eval_setting("RO_LS,uni1", seed=0))
+        assert len(split.valid) == 0 and len(split.test) == 0
+        cand = build_candidates(ds, split, mode, seed=0, n_negatives=1, target="valid")
+        assert len(cand.users) == 0
+        assert cand.positives == []
+
+    def test_valid_and_test_negatives_differ(self):
+        users = [f"u{k % 20}" for k in range(200)]
+        items = [f"i{k}" for k in range(200)]
+        ds = build_dataset(users, items)
+        split = make_split(ds, parse_eval_setting("RO_LS,uni10", seed=0))
+        valid = build_candidates(ds, split, "uni", seed=0, n_negatives=10, target="valid")
+        test = build_candidates(ds, split, "uni", seed=0, n_negatives=10, target="test")
+        np.testing.assert_array_equal(valid.users, test.users)
+        assert len(valid.users) == 20
+        for vp, vc, tp, tc in zip(valid.positives, valid.candidates,
+                                  test.positives, test.candidates):
+            assert not np.array_equal(np.setdiff1d(vc, vp), np.setdiff1d(tc, tp))
+
 
 def _catalog_scan_candidates(ds, split, seed, n_negatives, target):
     """Reference sampler: scan the whole catalog for each user's eligible items.
@@ -270,7 +384,9 @@ def _catalog_scan_candidates(ds, split, seed, n_negatives, target):
         if len(eligible) < n_negatives:
             return (f"user {int(u)}: only {len(eligible)} items are eligible "
                     f"as negatives, fewer than N={n_negatives}")
-        rng = protocol.user_rng(seed, protocol._RNG_NEGATIVES, u)
+        purpose = (protocol._RNG_NEGATIVES if target == "test"
+                   else protocol._RNG_VALID_NEGATIVES)
+        rng = protocol.user_rng(seed, purpose, u)
         negs = [rng.choice(eligible, size=n_negatives, replace=False) for _ in p]
         positives.append(p)
         candidates.append(np.unique(np.concatenate([p] + negs)))

@@ -56,6 +56,13 @@ class TestRangeFile:
 
 
 class TestGridSearch:
+    def test_grid_order_last_parameter_fastest(self):
+        # trial i runs assignment i, so this order names the trial_NNNN directories
+        space = SearchSpace({"a": [1, 2], "b": ["x", "y", "z"]})
+        assert list(space.all_assignments()) == [
+            {"a": a, "b": b} for a in (1, 2) for b in ("x", "y", "z")]
+        assert list(space.all_assignments()) == [space.assignment(i) for i in range(6)]
+
     def test_two_by_two_runs_four_trials(self, tmp_path):
         cfg = _toy_cfg(tmp_path)
         space = SearchSpace({"ease.l2": [1.0, 10.0], "seed": [1, 2]})
