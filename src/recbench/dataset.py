@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -35,12 +36,10 @@ class Vocabulary:
 
     def __init__(self, field_name, tokens):
         self.field = field_name
-        self.id_of = {}
-        self.token_of = [PAD_TOKEN]
-        for tok in tokens:
-            if tok is not None and tok not in self.id_of:
-                self.id_of[tok] = len(self.token_of)
-                self.token_of.append(tok)
+        unique = dict.fromkeys(tokens)  # first-occurrence order
+        unique.pop(None, None)
+        self.token_of = [PAD_TOKEN, *unique]
+        self.id_of = dict(zip(unique, range(1, len(self.token_of))))
 
     @property
     def size(self):
@@ -127,11 +126,9 @@ def _factorize(column):
     if isinstance(column, np.ndarray):
         uniq, codes = np.unique(column, return_inverse=True)
         return codes, len(uniq)
-    seen = {}
-    codes = np.empty(len(column), dtype=np.int64)
-    for i, tok in enumerate(column):
-        codes[i] = seen.setdefault(tok, len(seen))
-    return codes, len(seen)
+    unique = dict.fromkeys(column)
+    code_of = dict(zip(unique, range(len(unique))))
+    return np.fromiter(map(code_of.__getitem__, column), np.int64, len(column)), len(unique)
 
 
 def filter_by_inter_num(ds: Dataset, min_user=0, min_item=0) -> Dataset:
@@ -242,7 +239,8 @@ def _token_occurrences(ds: Dataset):
 
     def add(vocab_key, table, field_name):
         sources.setdefault(vocab_key, [])
-        sources[vocab_key].append(table.columns[field_name])
+        sources[vocab_key].append(
+            _tokens_in(table.columns[field_name], table.field(field_name).ftype))
         owner[(id(table), field_name)] = vocab_key
 
     add(ds.user_field, ds.inter, ds.user_field)
@@ -272,14 +270,11 @@ def _token_occurrences(ds: Dataset):
     return sources, owner
 
 
-def _tokens_in(column):
-    for cell in column:
-        if cell is None:
-            continue
-        if isinstance(cell, tuple):
-            yield from cell
-        else:
-            yield cell
+def _tokens_in(column, ftype):
+    """The column's tokens in order; a missing scalar token stays ``None``."""
+    if ftype == FieldType.TOKEN:
+        return column
+    return chain.from_iterable(cell for cell in column if cell is not None)
 
 
 def remap_ids(ds: Dataset) -> Dataset:
@@ -291,12 +286,8 @@ def remap_ids(ds: Dataset) -> Dataset:
     if ds.encoded:
         return ds
     sources, owner = _token_occurrences(ds)
-    vocabs_by_key = {}
-    for key, cols in sources.items():
-        def gen(cols=cols):
-            for col in cols:
-                yield from _tokens_in(col)
-        vocabs_by_key[key] = Vocabulary(key, gen())
+    vocabs_by_key = {key: Vocabulary(key, chain.from_iterable(tokens))
+                     for key, tokens in sources.items()}
 
     new_tables = {}
     vocabs: dict[str, Vocabulary] = {}
@@ -309,7 +300,8 @@ def remap_ids(ds: Dataset) -> Dataset:
             vocabs[spec.name] = vocab
             raw = table.columns[spec.name]
             if spec.ftype == FieldType.TOKEN:
-                cols[spec.name] = np.array([vocab.encode(t) for t in raw], dtype=np.int64)
+                encode = vocab.encode if None in raw else vocab.id_of.__getitem__
+                cols[spec.name] = np.fromiter(map(encode, raw), np.int64, len(raw))
             else:
                 cols[spec.name] = [
                     np.array([vocab.encode(t) for t in cell], dtype=np.int64)

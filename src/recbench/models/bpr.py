@@ -18,6 +18,17 @@ from .itemitem import binary_interaction_matrix
 from .losses import PAIRWISE_LOSSES
 
 
+def _add_rows(E, rows, V):
+    """``E[rows[k]] += V[k]`` for each k in order, like ``np.add.at(E, rows, V)``.
+
+    The scatter runs over ``E``'s flat buffer, where numpy's 1-D fast path
+    applies; each element receives the same additions in the same order,
+    so the result is bitwise the same.  ``E`` must be C-contiguous.
+    """
+    d = E.shape[1]
+    np.add.at(E.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), V.ravel())
+
+
 class BPRModel(Model):
     kind = "bpr"
     iterative = True
@@ -99,9 +110,9 @@ class BPRModel(Model):
     def calculate_loss(self, batch):
         total, users, pos, neg, g_pu, g_qi, g_qj = self._row_grads(batch)
         lr = self.cfg.learning_rate
-        np.add.at(self.user_emb, users, -lr * g_pu)
-        np.add.at(self.item_emb, pos, -lr * g_qi)
-        np.add.at(self.item_emb, neg, -lr * g_qj)
+        _add_rows(self.user_emb, users, -lr * g_pu)
+        _add_rows(self.item_emb, np.concatenate([pos, neg]),
+                  -lr * np.concatenate([g_qi, g_qj]))
         return float(total) / len(users)
 
     def loss_and_grads(self, batch):
@@ -109,9 +120,8 @@ class BPRModel(Model):
         total, users, pos, neg, g_pu, g_qi, g_qj = self._row_grads(batch)
         g_user = np.zeros_like(self.user_emb)
         g_item = np.zeros_like(self.item_emb)
-        np.add.at(g_user, users, g_pu)
-        np.add.at(g_item, pos, g_qi)
-        np.add.at(g_item, neg, g_qj)
+        _add_rows(g_user, users, g_pu)
+        _add_rows(g_item, np.concatenate([pos, neg]), np.concatenate([g_qi, g_qj]))
         return float(total), {"user_embeddings": g_user, "item_embeddings": g_item}
 
     # -- scoring -----------------------------------------------------------
@@ -127,5 +137,5 @@ class BPRModel(Model):
         return {"user_embeddings": self.user_emb, "item_embeddings": self.item_emb}
 
     def load_state_arrays(self, arrays):
-        self.user_emb = arrays["user_embeddings"].astype(np.float64)
-        self.item_emb = arrays["item_embeddings"].astype(np.float64)
+        self.user_emb = arrays["user_embeddings"].astype(np.float64, order="C")
+        self.item_emb = arrays["item_embeddings"].astype(np.float64, order="C")

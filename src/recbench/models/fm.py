@@ -18,7 +18,6 @@ mini-batch SGD; ``predict`` returns sigmoid(y).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..batch import Batch
 from ..errors import ModelError
@@ -142,9 +141,13 @@ class FMModel(Model):
         return self.score_logits_from_slots(*self.active_slots(users, items))
 
     def predict(self, batch):
+        from scipy.special import expit
+
         return expit(self.score_logits(batch))
 
     def full_sort_predict(self, users):
+        from scipy.special import expit
+
         users = np.asarray(users, dtype=np.int64)
         all_items = np.arange(self.n_items, dtype=np.int64)
         u_idx, u_val = self._side_half(users, "user")

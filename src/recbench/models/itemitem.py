@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ModelError
 from .base import Model
@@ -11,6 +10,8 @@ from .base import Model
 
 def binary_interaction_matrix(users, items, n_users, n_items):
     """Sparse 0/1 user-item matrix; duplicate pairs collapse to 1."""
+    import scipy.sparse as sp  # only the models that use it pay for the import
+
     mat = sp.coo_matrix((np.ones(len(users), dtype=np.float64), (users, items)),
                         shape=(n_users, n_items)).tocsr()
     mat.data[:] = 1.0

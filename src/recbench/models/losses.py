@@ -8,7 +8,6 @@ exact gradients of those means with respect to the score arrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ModelError
 
@@ -34,6 +33,8 @@ def bpr_loss(pos_scores, neg_scores) -> float:
 
 def bpr_loss_grad(pos_scores, neg_scores):
     """d(mean loss)/d(pos), d(mean loss)/d(neg)."""
+    from scipy.special import expit
+
     pos, neg = _check_pair(pos_scores, neg_scores)
     s = expit(neg - pos) / pos.size
     return -s, s
@@ -66,6 +67,8 @@ def logistic_loss(logits, labels) -> float:
 
 def logistic_loss_grad(logits, labels):
     """d(mean loss)/d(logits) = (sigmoid(logits) - labels) / n."""
+    from scipy.special import expit
+
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     return (expit(logits) - labels) / logits.size

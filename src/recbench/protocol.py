@@ -150,11 +150,11 @@ def history_by_user(ds: Dataset, rows):
 
 
 def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
-                     n_negatives=0, target="test") -> CandidateSet:
+                     n_negatives=0, target="test", label_field="label") -> CandidateSet:
     """Build the ranking positives and candidate items for each user.
 
     A user's positives are the sorted distinct items of its target rows;
-    if a ``label`` column exists, only rows labeled 1 count.  ``full``
+    if the ``label_field`` column exists, only rows labeled 1 count.  ``full``
     ranks against the entire catalog.  ``uni`` samples, for each of a
     user's target positives, ``n_negatives`` distinct items uniformly from
     the catalog excluding every item the user interacted with in any split
@@ -165,8 +165,8 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
     if target not in ("test", "valid"):
         raise ProtocolError(f"unknown candidate target {target!r}")
     target_rows = split.test if target == "test" else split.valid
-    if ds.inter.has_field("label"):
-        target_rows = target_rows[ds.inter.columns["label"][target_rows] > 0]
+    if ds.inter.has_field(label_field):
+        target_rows = target_rows[ds.inter.columns[label_field][target_rows] > 0]
     users, ptr, items = user_index(ds.user_ids()[target_rows],
                                    ds.item_ids()[target_rows], ds.n_items)
     positives = [items[lo:hi].copy() for lo, hi in zip(ptr[:-1], ptr[1:])]

@@ -122,7 +122,8 @@ def _make_evaluator(ds, split, plan, cfg: Config, metric_names, ks, target):
     mask_label, cand_label = "none", "full"
     if ranking:
         cand = build_candidates(ds, split, plan.candidates, plan.seed,
-                                plan.n_negatives, target=target)
+                                plan.n_negatives, target=target,
+                                label_field=cfg.truth_field)
         if len(cand.users) == 0:
             return None
         users, positives, candidates = cand.users, cand.positives, cand.candidates

@@ -21,6 +21,12 @@ string), ``token_seq`` (space-separated tokens), ``float`` and
 ``float_seq`` (space-separated floats).  An empty cell encodes a missing
 value.  Cells must not contain the separator character; there is no
 quoting or escaping dialect.
+
+:func:`read_table` parses a file column by column: after one check of
+every line's field count, all cells are split off at once and each
+column is converted whole (one ``float`` map per float column).  A file
+that fails that parse is parsed again cell by cell, and that path
+reports the first fault in row-major order, with its line number.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -130,7 +138,9 @@ class DataTable:
             col = self.columns[f.name]
             if isinstance(col, np.ndarray):
                 cols[f.name] = col[indices]
-            else:
+            elif len(indices) > 1:
+                cols[f.name] = list(itemgetter(*indices.tolist())(col))
+            else:  # itemgetter of one index returns the bare item
                 cols[f.name] = [col[i] for i in indices]
         return DataTable(self.kind, self.fields, cols)
 
@@ -284,27 +294,67 @@ def read_table(path, kind, sep=",") -> DataTable:
             raw = handle.read()
     except OSError as exc:
         raise TableFileError(f"cannot read {path}: {exc}") from None
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not raw:
         raise TableFileError(f"{path}: empty file, missing header")
-    fields = _parse_header(lines[0].rstrip("\r"), sep, f"{path}:1")
-    data: dict[str, list] = {f.name: [] for f in fields}
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.rstrip("\r").split(sep)
+    header, _, body = raw.partition("\n")
+    del raw
+    fields = _parse_header(header.rstrip("\r"), sep, f"{path}:1")
+    try:
+        columns = _parse_columns(body, fields, sep, path)
+    except (ValueError, TableFileError):
+        _raise_first_fault(body, fields, sep, path)
+        raise
+    return DataTable(kind, fields, columns)
+
+
+def _body_lines(body):
+    """The record lines after the header, each without its trailing ``\\r``s."""
+    if not body:
+        return []
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in body:
+        lines = [line.rstrip("\r") for line in lines]
+    return lines
+
+
+def _parse_columns(body, fields, sep, path):
+    """The body's columns, each converted whole; raises on any fault."""
+    nf = len(fields)
+    lines = _body_lines(body)
+    if not set(map(str.count, lines, repeat(sep))) <= {nf - 1}:
+        raise ValueError("wrong field count")
+    n, joined = len(lines), sep.join(lines)
+    del lines  # free the line strings before the cells exist: the parse's memory peak
+    cells = joined.split(sep) if n else []
+    del joined
+    columns = {}
+    for j, f in enumerate(fields):
+        col = cells[j::nf]
+        if f.ftype == FieldType.FLOAT:
+            if "" in col:
+                col = [c or "nan" for c in col]
+            values = np.array(list(map(float, col)), dtype=np.float64)
+            if np.isinf(values).any():
+                raise ValueError("non-finite float")
+            columns[f.name] = values
+        elif f.ftype == FieldType.TOKEN:
+            columns[f.name] = [c or None for c in col] if "" in col else col
+        else:
+            columns[f.name] = [_parse_cell(c, f.ftype, path) for c in col]
+    return columns
+
+
+def _raise_first_fault(body, fields, sep, path):
+    """Parse cell by cell and raise the first fault in row-major order."""
+    for lineno, line in enumerate(_body_lines(body), start=2):
+        cells = line.split(sep)
         if len(cells) != len(fields):
             raise TableFileError(
                 f"{path}:{lineno}: expected {len(fields)} fields, got {len(cells)}")
         for f, cell in zip(fields, cells):
-            data[f.name].append(_parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}"))
-    columns = {}
-    for f in fields:
-        if f.ftype == FieldType.FLOAT:
-            columns[f.name] = np.array(data[f.name], dtype=np.float64)
-        else:
-            columns[f.name] = data[f.name]
-    return DataTable(kind, fields, columns)
+            _parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}")
 
 
 def _format_float(value):

@@ -185,3 +185,34 @@ class TestBenchCli:
         assert proc.returncode == 0, proc.stderr
         assert "speedup" in proc.stdout
         assert "reports identical        : yes" in proc.stdout
+
+
+_RUN_AND_LIST_SCIPY = """
+import json, sys
+import recbench.cli, recbench.runner
+loaded = {}
+for model, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    code = recbench.cli.main([
+        "run", "--set", f"inter_path={sys.argv[1]}", "--set", f"model={model}",
+        "--set", f"out_dir={out}", "--set", "metrics=[recall]", "--set", "topk=[5]",
+        "--set", "valid_metric=recall@5", "--set", "train.epochs=2", "--quiet"])
+    loaded[model] = [code, "scipy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+class TestLazyScipy:
+    def test_popularity_run_never_imports_scipy(self, tmp_path):
+        users, items = planted_interactions(n_users=40, n_items=30, top_frac=0.2, seed=4)
+        inter = write_inter_file(tmp_path / "p.inter",
+                                 [f"{u},{i}" for u, i in zip(users, items)])
+        args = [str(inter)]
+        for model in ("popularity", "bpr", "itemknn"):
+            args += [model, str(tmp_path / model)]
+        proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # popularity first, in a fresh process: scipy is still unloaded;
+        # the models that use it import it themselves and still run
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "popularity": [0, False], "bpr": [0, True], "itemknn": [0, True]}

@@ -273,3 +273,24 @@ class TestOtherModels:
         ])
         result = run_experiment(cfg)
         assert result.report.candidates == "uni5"
+
+
+class TestTruthField:
+    def test_ranking_positives_follow_truth_field(self, tmp_path):
+        rng = np.random.default_rng(5)
+        inter = tmp_path / "r.inter"
+        rows = [f"u{u},i{rng.integers(0, 40)},{rng.integers(1, 6)}.0,{t}.0"
+                for t, u in enumerate(rng.integers(0, 60, size=900))]
+        inter.write_text("user_id:token,item_id:token,rating:float,timestamp:float\n"
+                         + "\n".join(rows) + "\n", encoding="utf-8")
+        reports = {}
+        for truth in ("label", "click"):
+            cfg = load_config(None, [
+                f"inter_path={inter}", "model=popularity", "eval_setting=TO_LS,full",
+                "label_source=rating", "label_threshold=4", f"truth_field={truth}",
+                "metrics=[recall, ndcg]", "topk=[5]", "valid_metric=ndcg@5",
+                f"out_dir={tmp_path / truth}",
+            ])
+            reports[truth] = run_experiment(cfg).report
+        assert reports["click"].n_users == reports["label"].n_users < 60
+        assert reports["click"].values == reports["label"].values

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recbench.errors import TableFileError
 from recbench.tables import (DataTable, FieldSpec, FieldType, TableKind,
+                             _check_separator, _parse_cell, _parse_header,
                              convert_csv, read_table, write_table)
 
 
@@ -141,6 +144,158 @@ class TestParsingErrors:
             read_table(path, TableKind.INTER, sep="::")
         with pytest.raises(TableFileError, match="separator"):
             read_table(path, TableKind.INTER, sep=" ")
+
+
+def _reference_read_table(path, kind, sep=","):
+    """The per-cell parser ``read_table`` replaced, kept as its oracle."""
+    _check_separator(sep)
+    kind = TableKind(kind)
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise TableFileError(f"cannot read {path}: {exc}") from None
+    lines = raw.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise TableFileError(f"{path}: empty file, missing header")
+    fields = _parse_header(lines[0].rstrip("\r"), sep, f"{path}:1")
+    data: dict[str, list] = {f.name: [] for f in fields}
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.rstrip("\r").split(sep)
+        if len(cells) != len(fields):
+            raise TableFileError(
+                f"{path}:{lineno}: expected {len(fields)} fields, got {len(cells)}")
+        for f, cell in zip(fields, cells):
+            data[f.name].append(_parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}"))
+    columns = {}
+    for f in fields:
+        if f.ftype == FieldType.FLOAT:
+            columns[f.name] = np.array(data[f.name], dtype=np.float64)
+        else:
+            columns[f.name] = data[f.name]
+    return DataTable(kind, fields, columns)
+
+
+def _assert_identical(a, b):
+    """Same fields and, cell by cell, the same types and bits."""
+    assert (a.kind, a.fields) == (b.kind, b.fields)
+    for name in a.field_names:
+        x, y = a.columns[name], b.columns[name]
+        assert type(x) is type(y)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            continue
+        assert len(x) == len(y)
+        for p, q in zip(x, y):
+            assert type(p) is type(q)
+            if isinstance(p, np.ndarray):
+                assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+            else:
+                assert p == q
+
+
+def _outcome(parse, path, sep):
+    try:
+        return parse(path, TableKind.USER, sep)
+    except TableFileError as exc:
+        return str(exc)
+
+
+_CELLS = {
+    FieldType.TOKEN: ["", "a", "b7", "nan", " x", "1.5"],
+    FieldType.TOKEN_SEQ: ["", "a", "a b", " c  d ", "nan"],
+    FieldType.FLOAT: ["", "1.5", "-0", "nan", "NaN", " 2 ", "1e3", "7", "1_0",
+                      "abc", "inf", "-Infinity"],
+    FieldType.FLOAT_SEQ: ["", "1", "0.5 -2", " nan 3 ", "x 1", "1 inf"],
+}
+_BAD = {"abc", "inf", "-Infinity", "x 1", "1 inf"}
+
+
+@st.composite
+def _table_file(draw):
+    """(text, separator) of a table file, mostly well formed."""
+    sep = draw(st.sampled_from([",", "\t", ";"]))
+    types = [FieldType.TOKEN]
+    types += draw(st.lists(st.sampled_from(list(FieldType)), max_size=4))
+    bad_ok = draw(st.booleans())
+    lines = [sep.join(f"f{j}:{t.value}" for j, t in enumerate(types))]
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(st.sampled_from([c for c in _CELLS[t] if bad_ok or c not in _BAD]))
+                 for t in types]
+        if bad_ok and draw(st.integers(0, 9)) == 0:
+            if len(cells) > 1 and draw(st.booleans()):
+                cells.pop()
+            else:
+                cells.append("extra")
+        lines.append(sep.join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return text, sep
+
+
+class TestColumnParser:
+    @settings(max_examples=400, deadline=None)
+    @given(_table_file())
+    def test_matches_per_cell_reference(self, tmp_path_factory, case):
+        text, sep = case
+        path = tmp_path_factory.mktemp("prop") / "t.user"
+        path.write_bytes(text.encode("utf-8"))
+        new = _outcome(read_table, path, sep)
+        ref = _outcome(_reference_read_table, path, sep)
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert isinstance(new, DataTable)
+            _assert_identical(new, ref)
+
+    @pytest.mark.parametrize("text", [
+        "f0:token,f1:float\n",
+        "f0:token,f1:float",
+        "f0:token\r\n\r\n\r\n",
+        "f0:token,f1:float\na,\nb,nan\n\n",
+        "f0:token,f1:float,f2:float_seq,f3:token_seq\r\na,1,,\r\n,,2 3,x y",
+    ])
+    def test_edge_files(self, tmp_path, text):
+        path = _write(tmp_path, text, name="t.user")
+        new = _outcome(read_table, path, ",")
+        ref = _outcome(_reference_read_table, path, ",")
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            _assert_identical(new, ref)
+
+    @pytest.mark.parametrize("body, line", [
+        ("u1,i1,abc\nu2,i2\n", 2),     # bad float before a short line
+        ("u1,i1,1\nu2,i2\nu3,i3,x\n", 3),
+        ("u1,i1,1\nu2,i2,inf\nu3,i3\n", 3),
+        ("u1,i1,1,2\nu2,i2,abc\n", 2),
+    ])
+    def test_first_fault_in_row_order(self, tmp_path, body, line):
+        path = _write(tmp_path, "user_id:token,item_id:token,rating:float\n" + body)
+        with pytest.raises(TableFileError) as info:
+            read_table(path, TableKind.INTER)
+        assert str(info.value).startswith(f"{path}:{line}")
+        with pytest.raises(TableFileError) as ref:
+            _reference_read_table(path, TableKind.INTER)
+        assert str(info.value) == str(ref.value)
+
+
+class TestSelectRows:
+    @pytest.mark.parametrize("indices", [[], [2], [2, 0], [1, 1, 3]])
+    def test_list_columns(self, indices):
+        table = DataTable(TableKind.INTER,
+                          [FieldSpec("user_id", FieldType.TOKEN),
+                           FieldSpec("item_id", FieldType.TOKEN),
+                           FieldSpec("tags", FieldType.TOKEN_SEQ)],
+                          {"user_id": list("abcd"), "item_id": ["w", None, "y", "z"],
+                           "tags": [("p",), None, ("q", "r"), ()]})
+        picked = table.select_rows(np.array(indices, dtype=np.int64))
+        for name, col in table.columns.items():
+            assert picked.columns[name] == [col[i] for i in indices]
 
 
 def _random_table(rng, kind=TableKind.INTER):
