@@ -15,9 +15,8 @@ from .errors import RecbenchError
 from .evaluator import Evaluator, MetricReport, evaluate
 from .protocol import (CandidateSet, EvalPlan, SplitResult, build_candidates,
                        make_split, parse_eval_setting)
-from .ranking import (TOPK_BACKEND, HitMatrix, available_topk_backends,
-                      index_hits, mask_training_items, reshape_scores,
-                      topk_find)
+from .ranking import (TOPK_BACKEND, HitMatrix, index_hits,
+                      mask_training_items, reshape_scores, topk_find)
 from .tables import (DataTable, FieldSpec, FieldType, TableKind, convert_csv,
                      read_table, write_table)
 
@@ -33,7 +32,7 @@ __all__ = [
     "Batch", "batch_from_table",
     "EvalPlan", "SplitResult", "CandidateSet", "parse_eval_setting",
     "build_candidates", "make_split",
-    "TOPK_BACKEND", "available_topk_backends", "topk_find", "reshape_scores",
+    "TOPK_BACKEND", "topk_find", "reshape_scores",
     "mask_training_items", "index_hits", "HitMatrix",
     "Evaluator", "MetricReport", "evaluate",
     "Config", "load_config",

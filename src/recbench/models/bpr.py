@@ -13,8 +13,8 @@ import numpy as np
 
 from ..batch import Batch
 from ..errors import ModelError
+from ..protocol import in_sorted, user_index
 from .base import Model
-from .itemitem import binary_interaction_matrix
 from .losses import PAIRWISE_LOSSES
 
 
@@ -43,14 +43,13 @@ class BPRModel(Model):
         self._loss_fn, self._grad_fn = PAIRWISE_LOSSES[cfg.loss]
         self._users = ds.user_ids()[self.train_rows]
         self._items = ds.item_ids()[self.train_rows]
-        self._seen = binary_interaction_matrix(self._users, self._items,
-                                               self.n_users, self.n_items)
-        per_user = np.asarray(self._seen.sum(axis=1)).ravel()
-        full = np.flatnonzero(per_user >= self.n_items - 1)
-        full = full[np.isin(full, self._users)]
+        users, indptr, items = user_index(self._users, self._items, self.n_items)
+        counts = np.diff(indptr)
+        full = users[counts >= self.n_items - 1]
         if len(full):
             raise ModelError(f"user {int(full[0])} interacted with every item; "
                              "no training negative exists")
+        self._seen_keys = np.repeat(users * self.n_items, counts) + items
         d = cfg.embedding_dim
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.user_emb = rng.normal(0.0, 0.01, size=(self.n_users, d))
@@ -59,13 +58,13 @@ class BPRModel(Model):
     # -- training ----------------------------------------------------------
 
     def _sample_negatives(self, rng, users):
-        negs = rng.integers(1, self.n_items, size=len(users))
-        while True:
-            seen = np.asarray(self._seen[users, negs]).ravel() > 0
-            if not seen.any():
-                return negs
-            redo = np.flatnonzero(seen)
-            negs[redo] = rng.integers(1, self.n_items, size=len(redo))
+        n = self.n_items
+        negs = np.empty(len(users), dtype=np.int64)
+        redo = np.arange(len(users))
+        while len(redo):  # redraw, in batch order, only the draws that hit a train pair
+            negs[redo] = rng.integers(1, n, size=len(redo))
+            redo = redo[in_sorted(self._seen_keys, users[redo] * n + negs[redo])]
+        return negs
 
     def epoch_batches(self, rng):
         order = rng.permutation(len(self._users))

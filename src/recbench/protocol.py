@@ -28,7 +28,8 @@ Per-user grouping has one implementation, :func:`user_index`: one sort of
 ``user * width + value`` keys gives each user's sorted distinct values as
 CSR arrays.  The split reads it directly: it orders each user's segment of
 the flat row array in place and cuts all segments in one vectorised pass.
-Positives, histories and the uniN known-item sets are read from it too.
+Positives, histories, the uniN known-item sets and BPR's training-negative
+sampler are read from it too.
 A uniN draw never scans the catalog: each positive draws N distinct
 indices into the user's eligible items with
 ``rng.choice(n_eligible, N, replace=False)``, and each index is mapped to
@@ -140,6 +141,17 @@ def user_index(users, values, width):
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     keys -= owners * width
     return owners[starts], np.append(starts, len(keys)), keys
+
+
+def in_sorted(keys, query):
+    """Whether each entry of ``query`` occurs in the sorted array ``keys`` (may be empty).
+
+    On ``user * width + value`` keys it tests (user, value) pairs, with no matrix.
+    """
+    found = np.searchsorted(keys, query)
+    hit = found < len(keys)
+    hit[hit] = keys[found[hit]] == query[hit]
+    return hit
 
 
 def history_by_user(ds: Dataset, rows):

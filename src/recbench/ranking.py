@@ -19,8 +19,7 @@ matrix (n = users in the batch, m = catalog size):
 
 The topk step is the hot kernel: :mod:`recbench._topk_np`, partial
 selection in numpy whose output is bit-identical to a stable full sort.
-It is the one backend; :func:`topk_find` still takes a ``backend`` name
-so callers and tests can select it explicitly.
+``TOPK_BACKEND`` names it in run records.
 """
 
 from __future__ import annotations
@@ -31,24 +30,18 @@ import numpy as np
 
 from . import _topk_np
 from .errors import EvalError
+from .protocol import in_sorted
 
 NEG_INF = -np.inf
-
-_BACKENDS = {"numpy": _topk_np.topk_indices}
 
 TOPK_BACKEND = "numpy"
 
 
-def available_topk_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def topk_find(scores, k, backend=None):
+def topk_find(scores, k):
     """Indices of the k largest entries per row of ``scores``.
 
     Rows of the result are ordered by descending score; equal scores are
     broken by ascending item index; a NaN score raises ``NaNScoreError``.
-    ``backend`` names the kernel (one of :func:`available_topk_backends`).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -56,8 +49,7 @@ def topk_find(scores, k, backend=None):
     n, m = scores.shape
     if not 1 <= k <= m:
         raise EvalError(f"k={k} out of range for {m} items")
-    impl = _BACKENDS[TOPK_BACKEND if backend is None else backend]
-    return impl(scores, k)
+    return _topk_np.topk_indices(scores, k)
 
 
 def reshape_scores(scores, n_items, candidates=None) -> np.ndarray:
@@ -153,10 +145,7 @@ def positive_hits(topk, positives, n_items) -> HitMatrix:
     keys = np.unique(rows * n_items + items.astype(np.int64))
     pos_counts = np.bincount(keys // n_items, minlength=n).astype(np.int64)
     query = np.arange(n, dtype=np.int64)[:, None] * n_items + topk
-    found = np.searchsorted(keys, query)
-    hits = found < len(keys)
-    hits[hits] = keys[found[hits]] == query[hits]
-    return HitMatrix(hits.astype(np.int8), pos_counts)
+    return HitMatrix(in_sorted(keys, query).astype(np.int8), pos_counts)
 
 
 def relevance_matrix(positives, n_items) -> np.ndarray:

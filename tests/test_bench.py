@@ -4,7 +4,7 @@ the acceptance suite)."""
 import numpy as np
 import pytest
 
-from recbench import bench, ranking
+from recbench import _topk_np, bench
 from recbench.bench import bench_eval
 
 
@@ -38,8 +38,7 @@ class TestBenchEval:
         # the warmup reports are the identity check; a kernel that breaks
         # ties the wrong way must still be caught
         monkeypatch.setattr(bench, "FixedScores", _TiedScores)
-        monkeypatch.setitem(ranking._BACKENDS, ranking.TOPK_BACKEND,
-                            _highest_index_first)
+        monkeypatch.setattr(_topk_np, "topk_indices", _highest_index_first)
         result = bench_eval(200, 300, k=10, repeats=1, seed=7)
         assert result.reports_identical is False
         assert "reports identical        : NO" in result.to_text()

@@ -196,7 +196,7 @@ for model, out in zip(sys.argv[2::2], sys.argv[3::2]):
         "run", "--set", f"inter_path={sys.argv[1]}", "--set", f"model={model}",
         "--set", f"out_dir={out}", "--set", "metrics=[recall]", "--set", "topk=[5]",
         "--set", "valid_metric=recall@5", "--set", "train.epochs=2", "--quiet"])
-    loaded[model] = [code, "scipy" in sys.modules]
+    loaded[model] = [code, "scipy" in sys.modules, "scipy.sparse" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -213,6 +213,7 @@ class TestLazyScipy:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         # popularity first, in a fresh process: scipy is still unloaded;
-        # the models that use it import it themselves and still run
+        # BPR loads only scipy.special, ItemKNN's sparse matrix scipy.sparse
         assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "popularity": [0, False], "bpr": [0, True], "itemknn": [0, True]}
+            "popularity": [0, False, False], "bpr": [0, True, False],
+            "itemknn": [0, True, True]}

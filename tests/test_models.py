@@ -14,6 +14,7 @@ from recbench.models import (BPRModel, EASEModel, FMModel, ItemKNNModel,
                              PopularityModel, TrainConfig, bpr_loss,
                              bpr_loss_grad, build_model, load_state,
                              margin_loss, save_state)
+from recbench.models.itemitem import binary_interaction_matrix
 from recbench.protocol import build_candidates, make_split, parse_eval_setting
 from recbench.ranking import row_cells
 from tests.conftest import build_dataset
@@ -272,6 +273,28 @@ class TestEASE:
 # bpr
 
 
+def _csr_epoch_batches(model, rng):
+    """BPR epoch batches drawn against a scipy CSR matrix of the train pairs.
+
+    Each round re-tests the whole batch; the reference for the draws and
+    their order.
+    """
+    seen = binary_interaction_matrix(model._users, model._items,
+                                     model.n_users, model.n_items)
+    order = rng.permutation(len(model._users))
+    for lo in range(0, len(order), model.cfg.batch_size):
+        sel = order[lo:lo + model.cfg.batch_size]
+        users = model._users[sel]
+        negs = rng.integers(1, model.n_items, size=len(users))
+        while True:
+            hit = np.asarray(seen[users, negs]).ravel() > 0
+            if not hit.any():
+                break
+            redo = np.flatnonzero(hit)
+            negs[redo] = rng.integers(1, model.n_items, size=len(redo))
+        yield {"user_id": users, "pos_item": model._items[sel], "neg_item": negs}
+
+
 class TestBPRTraining:
     def test_loss_decreases_on_planted_data(self, rng):
         from tests.conftest import planted_interactions
@@ -348,11 +371,63 @@ class TestBPRTraining:
         cfg = TrainConfig(batch_size=16, seed=0)
         model = BPRModel(ds, all_rows(ds), cfg,
                          rng=np.random.default_rng(0))
-        seen = model._seen
+        train_pairs = set(zip(ds.user_ids().tolist(), ds.item_ids().tolist()))
         for batch in model.epoch_batches(np.random.default_rng(3)):
             users, negs = batch["user_id"], batch["neg_item"]
-            assert not np.any(np.asarray(seen[users, negs]).ravel() > 0)
-            assert np.all(negs >= 1)
+            assert not train_pairs & set(zip(users.tolist(), negs.tolist()))
+            assert np.all((negs >= 1) & (negs < ds.n_items))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_epoch_batches_match_csr_sampler(self, dense):
+        data_rng = np.random.default_rng(7)
+        if dense:  # each user misses 1-3 of 40 items: most draws are retried
+            users, items = [], []
+            for u in range(8):
+                kept = data_rng.permutation(40)[:int(data_rng.integers(37, 40))]
+                users += [f"u{u}"] * len(kept)
+                items += [f"i{i}" for i in kept]
+            ds = build_dataset(users, items)
+            assert ds.n_items == 41
+        else:
+            ds = implicit_ds(data_rng, n_users=50, n_items=40, n_rows=600)
+        for seed in range(4):
+            for batch_size in (1, 7, 64, 1024):
+                cfg = TrainConfig(batch_size=batch_size, seed=seed)
+                model = BPRModel(ds, all_rows(ds), cfg,
+                                 rng=np.random.default_rng(seed))
+                got_rng = np.random.default_rng(seed + 100)
+                want_rng = np.random.default_rng(seed + 100)
+                for _ in range(2):
+                    got = list(model.epoch_batches(got_rng))
+                    want = list(_csr_epoch_batches(model, want_rng))
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        for key in ("user_id", "pos_item", "neg_item"):
+                            np.testing.assert_array_equal(g[key], w[key])
+                # the same draws in the same order, none extra
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_user_holding_every_item_rejected(self):
+        ds = build_dataset(["u0", "u1", "u1", "u1", "u1", "u2"],
+                           ["i0", "i0", "i1", "i2", "i1", "i2"])
+        full = ds.vocabs["user_id"].encode("u1")
+        with pytest.raises(ModelError, match=f"user {full} interacted with every item"):
+            BPRModel(ds, all_rows(ds), TrainConfig())
+
+    def test_user_missing_one_item_trains_on_it(self):
+        # u0's duplicate rows do not count as distinct items
+        ds = build_dataset(["u0"] * 5 + ["u1", "u1"],
+                           ["i0", "i1", "i2", "i0", "i1", "i3", "i0"])
+        u0 = ds.vocabs["user_id"].encode("u0")
+        i3 = ds.vocabs["item_id"].encode("i3")
+        cfg = TrainConfig(batch_size=2, seed=0)
+        train_rng = np.random.default_rng(cfg.seed)
+        model = BPRModel(ds, all_rows(ds), cfg, rng=train_rng)
+        for _ in range(5):
+            for batch in model.epoch_batches(train_rng):
+                negs = batch["neg_item"][batch["user_id"] == u0]
+                assert np.all(negs == i3)
+                assert np.isfinite(model.calculate_loss(batch))
 
     def test_margin_loss_variant_trains(self, rng):
         ds = implicit_ds(rng, n_rows=50)

@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from recbench import _topk_np
 from recbench.errors import EvalError, NaNScoreError
-from recbench.ranking import (NEG_INF, available_topk_backends, index_hits,
-                              mask_training_items, positive_hits,
-                              relevance_matrix, reshape_scores, topk_find)
+from recbench.ranking import (NEG_INF, index_hits, mask_training_items,
+                              positive_hits, relevance_matrix, reshape_scores,
+                              topk_find)
 
 
 def _sort_oracle(row, k):
@@ -36,8 +36,7 @@ class TestTopkFind:
         with pytest.raises(EvalError):
             topk_find(np.zeros((2, 3)), 0)
 
-    @pytest.mark.parametrize("backend", available_topk_backends())
-    def test_matches_full_sort_oracle(self, backend, rng):
+    def test_matches_full_sort_oracle(self, rng):
         for trial in range(300):
             n = int(rng.integers(1, 20))
             m = int(rng.integers(2, 120))
@@ -47,10 +46,10 @@ class TestTopkFind:
                 scores = np.round(scores, 1)  # force duplicates
             if trial % 4 == 0:
                 scores[rng.random((n, m)) < 0.4] = NEG_INF
-            got = topk_find(scores, k, backend=backend)
+            got = topk_find(scores, k)
             for r in range(n):
                 assert list(got[r]) == _sort_oracle(scores[r], k), \
-                    f"trial {trial} row {r} backend {backend}"
+                    f"trial {trial} row {r}"
 
 
 # few distinct values, so rows are full of ties, and -inf sentinels
