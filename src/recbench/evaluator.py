@@ -7,11 +7,16 @@ optional per-user masked histories, and a metric register.  A
 metrics are computed once after the last batch, so reports are invariant
 to the batch size.
 
-Two execution paths share everything but step 3:
+Two execution paths share the scores and the metric code:
 
 * ``evaluate``        reshape -> fill -> partial-selection topk -> hit
-                      lookup in each user's positives
-* ``evaluate_naive``  per-user full sort of the same masked rows, hits
+                      lookup in each user's positives.  Sampled
+                      candidates are ranked in compact form, one row of
+                      its own ~N candidates per user, padded with -inf;
+                      a row with fewer than K scores above -inf gets the
+                      full-width filler items (see :mod:`recbench.ranking`)
+* ``evaluate_naive``  per-user full sort of full-width masked rows, -inf
+                      outside the candidates under sampled ranking, hits
                       gathered from a dense relevance row
 
 Both paths feed identical hit matrices into identical metric code, so a
@@ -30,8 +35,9 @@ import numpy as np
 from . import metrics as metrics_mod
 from .batch import Batch
 from .errors import EvalError, NaNScoreError
-from .ranking import (NEG_INF, HitMatrix, index_hits, positive_hits,
-                      relevance_matrix, reshape_scores, row_cells, topk_find)
+from .ranking import (NEG_INF, HitMatrix, compact_scores, compact_top_items,
+                      index_hits, positive_hits, relevance_matrix,
+                      reshape_scores, row_cells, topk_find)
 
 
 @dataclass(frozen=True)
@@ -125,14 +131,23 @@ class Evaluator:
         self.config_hash = config_hash
         self.user_field = user_field
         self.item_field = item_field
+        if self.mask_items is not None and self.candidates is not None:
+            raise EvalError("mask_items applies to full ranking only; sampled "
+                            "candidates already exclude the history")
         if self.ranking_names and self.ks and max(self.ks) >= self.n_items:
             raise EvalError(f"K={max(self.ks)} must be smaller than the "
                             f"catalog ({self.n_items} columns)")
 
     # -- score-matrix assembly -------------------------------------------
 
+    def _candidate_scores(self, model, lo, hi):
+        """Scores of the batch's candidates, concatenated in row order."""
+        rows, items = row_cells(self.candidates[lo:hi])
+        return model.predict(Batch({self.user_field: self.users[lo:hi][rows],
+                                    self.item_field: items}))
+
     def _batch_scores(self, model, lo, hi):
-        """The reshape and fill steps for one user batch.
+        """The reshape and fill steps for one user batch, at full width.
 
         The matrix is the caller's own (``full_sort_predict`` returns a
         new array, and a sampled matrix is built here), so history
@@ -145,10 +160,9 @@ class Evaluator:
             mat = reshape_scores(model.full_sort_predict(users), self.n_items)
         else:
             cands = self.candidates[lo:hi]
-            rows, items = row_cells(cands)
-            flat = model.predict(Batch({self.user_field: users[rows],
-                                        self.item_field: items}))
-            per_user = np.split(flat, np.cumsum([len(c) for c in cands])[:-1])
+            counts = [0 if c is None else len(c) for c in cands]
+            per_user = np.split(self._candidate_scores(model, lo, hi),
+                                np.cumsum(counts)[:-1])
             mat = reshape_scores(per_user, self.n_items, candidates=cands)
         if self.mask_items is not None:
             mat[row_cells(self.mask_items[lo:hi])] = NEG_INF
@@ -158,14 +172,25 @@ class Evaluator:
     # -- the two pipelines -----------------------------------------------
 
     def evaluate(self, model) -> MetricReport:
-        """Accelerated path: batched matrix pipeline with partial-selection topk."""
+        """Accelerated path: batched pipeline with partial-selection topk.
+
+        Full ranking selects over each batch's n x m score matrix, sampled
+        ranking over the compact form of the batch's candidates.
+        """
         collector = Collector()
         max_k = max(self.ks) if self.ks else 0
         if self.ranking_names:
             for lo in range(0, len(self.users), self.batch_size):
                 hi = min(lo + self.batch_size, len(self.users))
                 try:  # the score matrix is freed before the next batch's
-                    top = topk_find(self._batch_scores(model, lo, hi), max_k)
+                    if self.candidates is None:
+                        top = topk_find(self._batch_scores(model, lo, hi), max_k)
+                    else:
+                        values, items = compact_scores(
+                            self._candidate_scores(model, lo, hi),
+                            self.candidates[lo:hi], self.n_items, max_k)
+                        top = compact_top_items(topk_find(values, max_k),
+                                                values, items)
                 except NaNScoreError as exc:
                     raise EvalError(f"model scored NaN for user ID "
                                     f"{self.users[lo + exc.row]}") from None

@@ -1,21 +1,34 @@
 """The vectorized top-K ranking pipeline.
 
-Evaluation of a batch of users runs in four steps over one n x m score
-matrix (n = users in the batch, m = catalog size):
+Evaluation of a batch of users runs in four steps over one score matrix
+with a row per user in the batch:
 
-1. reshape   build the matrix: dense model scores for full ranking, or a
-             -inf-initialized matrix filled only at candidate positions
-             for sampled ranking;
+1. reshape   build the matrix.  Full ranking: the dense n x m model
+             scores (m = catalog size).  Sampled ranking: the compact
+             n x w form of :func:`compact_scores`, each row a user's
+             candidates in ascending item ID with their scores, padded
+             at the end with -inf (w = the longest candidate list, at
+             least K), plus the matching matrix of item IDs;
 2. fill      overwrite each user's training-item scores with -inf so they
              cannot be recommended (optional, full ranking only);
-3. topk      per row, the K highest-scoring item indices, descending
+3. topk      per row, the K highest-scoring column indices, descending
              score, ties broken by ascending index -- partial selection,
-             never a full sort;
-4. index     look each top-K index up in that user's positives, yielding
+             never a full sort.  Sampled rows map the columns back to
+             item IDs with :func:`compact_top_items`;
+4. index     look each top-K item up in that user's positives, yielding
              the n x K binary hit matrix all ranking metrics are computed
              from.  :func:`positive_hits` does this with no n x m
              relevance matrix; :func:`index_hits` gathers from a dense
              :func:`relevance_matrix` and gives the same result.
+
+The compact form ranks exactly as the full-width n x m matrix that is
+-inf except at the candidates (:func:`reshape_scores` with
+``candidates=``), which the naive oracle still builds.  Column order is
+item order, so the tie-break carries over.  A row with only f < K scores
+above -inf ranks, full width, the lowest-ID items scoring -inf in its
+last K - f slots: non-candidates, -inf candidates and the padding item
+0 alike.  :func:`compact_top_items` fills those slots with the same
+items, the first K - f IDs below K that are not among the row's f.
 
 The topk step is the hot kernel: :mod:`recbench._topk_np`, partial
 selection in numpy whose output is bit-identical to a stable full sort.
@@ -66,11 +79,66 @@ def reshape_scores(scores, n_items, candidates=None) -> np.ndarray:
             raise EvalError(f"expected shape (n, {n_items}), got {mat.shape}")
         return mat
     rows, cols = row_cells(candidates)
-    if len(cols) and cols.max() >= n_items:
-        raise EvalError(f"candidate index {int(cols.max())} >= n_items={n_items}")
+    _check_candidate_ids(cols, n_items)
     out = np.full((len(candidates), n_items), NEG_INF, dtype=np.float64)
     out[rows, cols] = np.concatenate([np.empty(0), *scores])
     return out
+
+
+def _check_candidate_ids(cols, n_items):
+    if len(cols) and cols.max() >= n_items:
+        raise EvalError(f"candidate index {int(cols.max())} >= n_items={n_items}")
+    if len(cols) and cols.min() < 0:
+        raise EvalError(f"candidate index {int(cols.min())} < 0")
+
+
+def compact_scores(scores, candidates, n_items, k):
+    """Sampled-ranking scores in compact form: ``(values, items)``.
+
+    ``scores`` holds the model's scores of ``candidates`` (a per-user list
+    of item-ID arrays; ``None`` or empty rows allowed) concatenated in row
+    order.  Row r of the two (n, w) results holds user r's distinct
+    candidates in ascending item ID and their scores, then -inf with item
+    0 up to w = max(longest row, k).  A repeated candidate keeps its last
+    score and the padding item 0 scores -inf, as in the full-width matrix.
+    """
+    rows, cols = row_cells(candidates)
+    _check_candidate_ids(cols, n_items)
+    values = np.asarray(scores, dtype=np.float64)
+    keys = rows * n_items + cols.astype(np.int64)
+    if np.any(keys[1:] <= keys[:-1]):  # a row out of item order, or a repeat
+        order = np.argsort(keys, kind="stable")
+        order = order[np.append(keys[order][1:] != keys[order][:-1], True)]
+        rows, cols, values = rows[order], cols[order], values[order]
+    n = len(candidates)
+    counts = np.bincount(rows, minlength=n)
+    width = max(int(counts.max(initial=0)), k)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.full((n, width), NEG_INF)
+    out[rows, slot] = np.where(cols == 0, NEG_INF, values)
+    items = np.zeros((n, width), dtype=np.int64)
+    items[rows, slot] = cols
+    return out, items
+
+
+def compact_top_items(top, values, items):
+    """Item IDs of the compact top-k columns ``top``, with the full-width filler.
+
+    A row with only f < k values above -inf takes, in its last k - f
+    slots, the lowest item IDs not among its first f: below k there are
+    always enough of them.
+    """
+    n, k = top.shape
+    out = np.take_along_axis(items, top, axis=1)
+    ranked = np.count_nonzero(np.take_along_axis(values, top, axis=1) > NEG_INF,
+                              axis=1)[:, None]
+    slots = np.arange(k)
+    taken = np.zeros((n, k), dtype=bool)
+    r, j = np.nonzero((slots < ranked) & (out < k))
+    taken[r, out[r, j]] = True
+    free = np.argsort(taken, axis=1, kind="stable")  # unused IDs < k, ascending
+    filler = np.take_along_axis(free, np.maximum(slots - ranked, 0), axis=1)
+    return np.where(slots < ranked, out, filler)
 
 
 def row_cells(per_row):

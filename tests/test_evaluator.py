@@ -7,6 +7,8 @@ from recbench.errors import EvalError
 from recbench.evaluator import Evaluator, evaluate
 from recbench.models import PopularityModel, TrainConfig
 from recbench.protocol import parse_eval_setting
+from recbench.ranking import (compact_scores, compact_top_items, reshape_scores,
+                              row_cells, topk_find)
 from tests.conftest import build_dataset
 
 
@@ -125,6 +127,121 @@ class TestPipelineEquivalence:
         top = topk_find(masked, 5)
         for r in range(10):
             assert not np.intersect1d(top[r], hist[r]).size
+
+
+def _sampled_instance(rng, n_users=None, n_items=None):
+    """Random uniN-style candidates and scores with ties, -inf and short rows.
+
+    Candidates are sorted and distinct, as ``build_candidates`` gives
+    them; some rows are empty, ``None``, shorter than K or include the
+    padding item 0.  Scores are normal, small integers (ties) or integers
+    with -inf cells.
+    """
+    n = n_users or int(rng.integers(1, 30))
+    m = n_items or int(rng.integers(6, 60))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        scores = rng.standard_normal((n, m))
+    else:
+        scores = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+        if kind == 2:
+            scores[rng.random((n, m)) < 0.4] = -np.inf
+    positives, candidates = [], []
+    for r in range(n):
+        pos = rng.choice(np.arange(1, m), size=int(rng.integers(1, 4)),
+                         replace=False)
+        neg = rng.choice(m, size=int(rng.integers(0, m // 2)), replace=False)
+        cands = np.union1d(pos, neg)
+        if r % 7 == 3:
+            cands = np.union1d(cands, [0])
+        positives.append(np.sort(pos))
+        candidates.append(None if r % 11 == 5 else
+                          cands[:0] if r % 11 == 6 else cands)
+    return scores, positives, candidates
+
+
+class TestCompactSampledPath:
+    METRICS = ["recall", "precision", "ndcg", "mrr"]
+
+    def test_matches_naive_oracle_on_random_unin(self, rng):
+        for trial in range(150):
+            scores, positives, cands = _sampled_instance(rng)
+            n, m = scores.shape
+            ks = sorted(rng.choice(np.arange(1, m), size=int(rng.integers(1, 4)),
+                                   replace=False).tolist())
+            ev = Evaluator(m, np.arange(n), positives, self.METRICS, ks,
+                           candidates=cands,
+                           batch_size=int(rng.integers(1, n + 1)))
+            model = FixedScores(scores)
+            fast, slow = ev.evaluate(model), ev.evaluate_naive(model)
+            assert fast.to_text() == slow.to_text(), f"trial {trial}"
+            assert fast.to_json() == slow.to_json(), f"trial {trial}"
+
+    def test_top_items_match_full_width_ranking(self, rng):
+        for trial in range(300):
+            scores, _, cands = _sampled_instance(rng)
+            n, m = scores.shape
+            k = int(rng.integers(1, m))
+            rows, items = row_cells(cands)
+            per_user = [np.empty(0) if c is None else scores[r, c]
+                        for r, c in enumerate(cands)]
+            full = reshape_scores(per_user, m, candidates=cands)
+            full[:, 0] = -np.inf
+            values, ids = compact_scores(scores[rows, items], cands, m, k)
+            got = compact_top_items(topk_find(values, k), values, ids)
+            np.testing.assert_array_equal(got, topk_find(full, k),
+                                          err_msg=f"trial {trial}")
+
+    def test_unsorted_and_repeated_candidates(self, rng):
+        # a caller's candidate lists need not be sorted or distinct
+        for trial in range(30):
+            scores, positives, cands = _sampled_instance(rng)
+            n, m = scores.shape
+            noisy = [c if c is None else rng.permutation(np.concatenate([c, c[:2]]))
+                     for c in cands]
+            ev = Evaluator(m, np.arange(n), positives, self.METRICS, [1, 3, 5],
+                           candidates=noisy, batch_size=int(rng.integers(1, n + 1)))
+            model = FixedScores(scores)
+            assert ev.evaluate(model).to_json() == \
+                ev.evaluate_naive(model).to_json(), f"trial {trial}"
+
+    def test_short_row_takes_the_full_width_filler(self):
+        # one score above -inf at k=4: full width ranks item 3, then the
+        # lowest-ID -inf items 0, 1, 2 -- above the -inf-scored positive 5
+        scores = np.full((1, 8), -np.inf)
+        scores[0, 3] = 1.0
+        cands = [np.array([3, 5])]
+        values, ids = compact_scores(scores[0, cands[0]], cands, 8, 4)
+        np.testing.assert_array_equal(
+            compact_top_items(topk_find(values, 4), values, ids), [[3, 0, 1, 2]])
+        ev = Evaluator(8, np.array([0]), [np.array([5])], ["recall"], [4],
+                       candidates=cands)
+        assert ev.evaluate(FixedScores(scores)).values["recall@4"] == 0.0
+
+    def test_out_of_range_candidate_is_rejected(self, rng):
+        scores = rng.standard_normal((3, 9))
+        cands = [np.array([1, 2]), np.array([3, 9]), np.array([4])]
+        ev = Evaluator(9, np.arange(3), [np.array([1])] * 3, ["recall"], [2],
+                       candidates=cands)
+        model = FixedScores(np.hstack([scores, scores]))
+        with pytest.raises(EvalError, match="candidate index 9 >= n_items=9"):
+            ev.evaluate(model)
+
+    def test_nan_score_names_the_user(self, rng):
+        scores = rng.standard_normal((6, 9))
+        scores[4, 2] = np.nan
+        scores[1, 0] = np.nan  # item 0 scores -inf, as at full width
+        cands = [np.array([0, 1, 2, 5])] * 6
+        ev = Evaluator(9, np.array([10, 11, 12, 13, 14, 15]),
+                       [np.array([1])] * 6, ["recall"], [3],
+                       candidates=cands, batch_size=3)
+        with pytest.raises(EvalError, match="NaN for user ID 14"):
+            ev.evaluate(FixedScores(np.vstack([np.zeros((10, 9)), scores])))
+
+    def test_mask_items_with_candidates_is_rejected(self):
+        with pytest.raises(EvalError, match="full ranking only"):
+            Evaluator(5, np.array([0]), [np.array([1])], ["recall"], [1],
+                      mask_items=[np.array([2])], candidates=[np.array([1, 3])])
 
 
 class TestHandComputed:
