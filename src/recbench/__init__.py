@@ -12,11 +12,12 @@ from .dataset import (Dataset, Interval, ValueSet, Vocabulary, fill_nan,
                       filter_by_field_value, filter_by_inter_num, normalize,
                       remap_ids, set_label_by_threshold)
 from .errors import RecbenchError
-from .evaluator import Evaluator, MetricReport, evaluate
+from .evaluator import Evaluator, MetricReport
 from .protocol import (CandidateSet, EvalPlan, SplitResult, build_candidates,
                        make_split, parse_eval_setting)
 from .ranking import (TOPK_BACKEND, HitMatrix, index_hits,
                       mask_training_items, reshape_scores, topk_find)
+from .runner import evaluate
 from .tables import (DataTable, FieldSpec, FieldType, TableKind, convert_csv,
                      read_table, write_table)
 

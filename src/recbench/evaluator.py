@@ -2,10 +2,11 @@
 
 The evaluator is decoupled from models and data: it consumes a scoring
 interface (``full_sort_predict`` / ``predict``), per-user positives and
-optional per-user masked histories, and a metric register.  A
-:class:`Collector` accumulates per-batch hit blocks in user order;
-metrics are computed once after the last batch, so reports are invariant
-to the batch size.
+optional per-user masked histories, and a metric register.  Wiring a
+dataset's split into those inputs is the runner's job
+(:func:`recbench.runner.evaluate`).  Each pipeline keeps its per-batch
+hit blocks in user order; metrics are computed once after the last
+batch, so reports are invariant to the batch size.
 
 Two execution paths share the scores and the metric code:
 
@@ -63,28 +64,6 @@ class MetricReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class Collector:
-    """Accumulates per-batch results; the only cross-batch state."""
-
-    def __init__(self):
-        self._blocks = []
-        self._predictions = []
-        self._truths = []
-
-    def add_hits(self, block: HitMatrix):
-        self._blocks.append(block)
-
-    def add_values(self, predictions, truths):
-        self._predictions.append(np.asarray(predictions, dtype=np.float64))
-        self._truths.append(np.asarray(truths, dtype=np.float64))
-
-    def hit_matrix(self) -> HitMatrix:
-        return HitMatrix.concatenate(self._blocks)
-
-    def value_arrays(self):
-        return (np.concatenate(self._predictions), np.concatenate(self._truths))
-
-
 def _resolve_metrics(metric_names, ks):
     ranking, value = [], []
     for name in metric_names:
@@ -104,7 +83,7 @@ class Evaluator:
     Parameters
     ----------
     n_items : catalog size (matrix width, including the padding column)
-    users : evaluated user IDs, in collector order
+    users : evaluated user IDs, in report order
     positives : per-user arrays of relevant item IDs
     mask_items : optional per-user arrays of history to force to -inf
         (full ranking only; sampled candidates already exclude history)
@@ -177,7 +156,7 @@ class Evaluator:
         Full ranking selects over each batch's n x m score matrix, sampled
         ranking over the compact form of the batch's candidates.
         """
-        collector = Collector()
+        blocks = []
         max_k = max(self.ks) if self.ks else 0
         if self.ranking_names:
             for lo in range(0, len(self.users), self.batch_size):
@@ -194,77 +173,50 @@ class Evaluator:
                 except NaNScoreError as exc:
                     raise EvalError(f"model scored NaN for user ID "
                                     f"{self.users[lo + exc.row]}") from None
-                collector.add_hits(positive_hits(top, self.positives[lo:hi],
-                                                 self.n_items))
-        self._collect_values(model, collector)
-        return self._report(collector)
+                blocks.append(positive_hits(top, self.positives[lo:hi],
+                                            self.n_items))
+        return self._report(model, blocks)
 
     def evaluate_naive(self, model) -> MetricReport:
         """Oracle path: per-user full sort and scan over the same scores."""
-        collector = Collector()
+        blocks = []
         max_k = max(self.ks) if self.ks else 0
         if self.ranking_names:
             for lo in range(0, len(self.users)):
                 row = self._batch_scores(model, lo, lo + 1)[0]
                 top = np.argsort(-row, kind="stable")[:max_k]
                 rel = relevance_matrix(self.positives[lo:lo + 1], self.n_items)
-                collector.add_hits(index_hits(top[None, :], rel))
-        self._collect_values(model, collector)
-        return self._report(collector)
+                blocks.append(index_hits(top[None, :], rel))
+        return self._report(model, blocks)
 
     # -- shared tail -------------------------------------------------------
 
-    def _collect_values(self, model, collector):
-        if not self.value_names:
-            return
+    def _value_arrays(self, model):
+        """Predictions and truths over the value pairs, in pair order."""
         if self.value_pairs is None:
             raise EvalError("value metrics requested but no prediction targets "
                             "(is the truth field present?)")
         (users, items), truths = self.value_pairs
-        for lo in range(0, len(users), self.batch_size):
-            hi = min(lo + self.batch_size, len(users))
-            preds = model.predict(Batch({self.user_field: users[lo:hi],
-                                         self.item_field: items[lo:hi]}))
-            collector.add_values(preds, truths[lo:hi])
+        bs = self.batch_size
+        preds = [model.predict(Batch({self.user_field: users[lo:lo + bs],
+                                      self.item_field: items[lo:lo + bs]}))
+                 for lo in range(0, len(users), bs)]
+        return (np.asarray(np.concatenate(preds), dtype=np.float64),
+                np.asarray(truths, dtype=np.float64))
 
-    def _report(self, collector) -> MetricReport:
+    def _report(self, model, blocks) -> MetricReport:
+        """Metrics over the ranking hit blocks and the model's value predictions."""
         values = {}
         if self.ranking_names:
-            hm = collector.hit_matrix()
+            hm = HitMatrix.concatenate(blocks)
             for name in self.ranking_names:
                 fn = metrics_mod.ranking_metric(name)
                 for k in self.ks:
                     per_user = fn(hm.hits, hm.pos_counts, k)
                     values[f"{name}@{k}"] = metrics_mod.mean_of(per_user)
         if self.value_names:
-            preds, truths = collector.value_arrays()
+            preds, truths = self._value_arrays(model)
             for name in self.value_names:
                 values[name] = metrics_mod.value_metric(name)(preds, truths)
         return MetricReport(values, len(self.users), self.mask_label,
                             self.candidate_label, self.config_hash)
-
-
-def evaluate(model, ds, plan, metric_names, ks, batch_size=512,
-             mask_train=True, time_field="timestamp") -> MetricReport:
-    """Convenience wrapper: split the dataset per ``plan`` and evaluate.
-
-    Builds the split and candidates from scratch; the runner wires the
-    same pieces explicitly so training and evaluation share one split.
-    """
-    from .protocol import build_candidates, history_by_user, make_split
-
-    split = make_split(ds, plan, time_field=time_field)
-    cand = build_candidates(ds, split, plan.candidates, plan.seed,
-                            plan.n_negatives, target="test")
-    mask_items = None
-    mask_label = "none"
-    if plan.candidates == "full" and mask_train:
-        hist = history_by_user(ds, np.concatenate([split.train, split.valid]))
-        mask_items = [hist.get(int(u), np.empty(0, np.int64)) for u in cand.users]
-        mask_label = "train+valid"
-    ev = Evaluator(ds.n_items, cand.users, cand.positives, metric_names, ks,
-                   mask_items=mask_items, candidates=cand.candidates,
-                   batch_size=batch_size, mask_label=mask_label,
-                   candidate_label=cand.describe(),
-                   user_field=ds.user_field, item_field=ds.item_field)
-    return ev.evaluate(model)

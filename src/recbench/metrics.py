@@ -103,7 +103,9 @@ def register_metric(name, fn, kind="ranking"):
     """Sign a metric into the register.
 
     Ranking metrics take ``(hits, pos_counts, k)`` and return a per-user
-    array; value metrics take ``(predictions, truths)`` and return a float.
+    array, larger is better; value metrics take ``(predictions, truths)``
+    and return a float error, smaller is better.  Early stopping and
+    search ranking follow that direction (see :func:`metric_direction`).
     """
     name = name.lower()
     if kind == "ranking":
@@ -139,6 +141,5 @@ def value_metric(name):
 
 
 def metric_direction(name):
-    """+1 if larger is better, -1 if smaller is better (rmse/mae)."""
-    base = name.split("@")[0].lower()
-    return -1 if base in ("rmse", "mae") else 1
+    """+1 if larger is better (ranking), -1 if smaller is better (value)."""
+    return -1 if metric_kind(name.split("@")[0]) == "value" else 1

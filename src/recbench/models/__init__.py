@@ -22,7 +22,7 @@ MODEL_PARAM_SCHEMA = {
     "itemknn": {"k": int, "shrink": float},
     "bpr": {},
     "ease": {"l2": float},
-    "fm": {"fields": list, "label_field": str},
+    "fm": {"fields": list},
 }
 
 

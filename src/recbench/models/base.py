@@ -10,8 +10,10 @@ Every model exposes the same three entry points:
   matrix over the whole catalog, consistent with ``predict``.  It is a
   new array that the caller owns: the evaluator masks it in place.
 
-Iterative models additionally yield their own epoch batches through
-``epoch_batches(rng)`` so the trainer stays model-agnostic.
+Every model yields its own epoch batches through ``epoch_batches(rng)``,
+so the trainer runs one loop for all of them: iterative models shuffle
+and batch their training pairs for many epochs, closed-form models yield
+their one whole-train batch for a single epoch.
 """
 
 from __future__ import annotations
@@ -79,8 +81,11 @@ class Model:
         raise NotImplementedError
 
     def epoch_batches(self, rng):
-        """Training batches for one epoch (iterative models only)."""
-        raise ModelError(f"{self.kind} is a closed-form model without epochs")
+        """Training batches for one epoch; closed form: the whole-train batch.
+
+        The base version draws nothing from ``rng``.
+        """
+        yield self.train_batch()
 
     def train_batch(self) -> Batch:
         """The single whole-train batch used to fit closed-form models."""

@@ -29,11 +29,10 @@ from .losses import logistic_loss, logistic_loss_grad
 class _Slot:
     """One feature field inside the flattened slot space."""
 
-    def __init__(self, name, kind, offset, width, source):
+    def __init__(self, name, kind, offset, source):
         self.name = name
         self.kind = kind          # "token" | "float"
         self.offset = offset
-        self.width = width
         self.source = source      # "user_id" | "item_id" | "user_feat" | "item_feat"
 
 
@@ -88,7 +87,7 @@ class FMModel(Model):
 
         def push(name, kind, width, source):
             nonlocal offset
-            self.slots.append(_Slot(name, kind, offset, width, source))
+            self.slots.append(_Slot(name, kind, offset, source))
             offset += width
 
         push(ds.user_field, "token", self.n_users, "user_id")
@@ -196,13 +195,6 @@ class FMModel(Model):
                 self.ds.item_field: self._train_items[sel],
                 self.label_field: self._train_labels[sel],
             })
-
-    def train_batch(self):
-        return Batch({
-            self.ds.user_field: self._train_users,
-            self.ds.item_field: self._train_items,
-            self.label_field: self._train_labels,
-        })
 
     def _batch_grads(self, batch):
         """Per-row gradients of the summed batch objective.

@@ -171,10 +171,6 @@ class HitMatrix:
         if self.hits.shape[0] != self.pos_counts.shape[0]:
             raise EvalError("hit matrix and positive counts disagree on users")
 
-    @property
-    def width(self):
-        return self.hits.shape[1]
-
     @staticmethod
     def concatenate(blocks) -> "HitMatrix":
         blocks = list(blocks)

@@ -6,7 +6,12 @@ imputation, labeling, normalization), build the split per the evaluation
 setting, train the model with per-epoch validation, early stopping and
 checkpointing, evaluate the best checkpoint on the test split, and write
 ``report.txt`` / ``report.json`` / ``run.log`` plus the ``model_last`` /
-``model_best`` checkpoints into the output directory.
+``model_best`` checkpoints into the output directory.  Every model goes
+through the same epoch loop; a closed-form model fits in its one epoch.
+
+``_make_evaluator`` is the one place that wires a stage (split, plan,
+candidates, history mask, value targets) into an ``Evaluator``; the run's
+valid and test stages and the library's :func:`evaluate` all use it.
 
 Given identical table files, config, and seed, the report files are
 byte-identical across runs; wall-clock timestamps live only in the log.
@@ -111,7 +116,8 @@ def _value_pairs(ds, rows, truth_field):
     return (users, items), truths
 
 
-def _make_evaluator(ds, split, plan, cfg: Config, metric_names, ks, target):
+def _make_evaluator(ds, split, plan, metric_names, ks, target, mask_train,
+                    truth_field, batch_size, config_hash):
     """Wire an Evaluator for the valid or test stage (None if no targets)."""
     ranking = [m for m in metric_names if metric_kind(m) == "ranking"]
     value = [m for m in metric_names if metric_kind(m) == "value"]
@@ -123,12 +129,12 @@ def _make_evaluator(ds, split, plan, cfg: Config, metric_names, ks, target):
     if ranking:
         cand = build_candidates(ds, split, plan.candidates, plan.seed,
                                 plan.n_negatives, target=target,
-                                label_field=cfg.truth_field)
+                                label_field=truth_field)
         if len(cand.users) == 0:
             return None
         users, positives, candidates = cand.users, cand.positives, cand.candidates
         cand_label = cand.describe()
-        if plan.candidates == "full" and cfg.mask_train:
+        if plan.candidates == "full" and mask_train:
             history_rows = (split.train if target == "valid"
                             else np.concatenate([split.train, split.valid]))
             hist = history_by_user(ds, history_rows)
@@ -136,16 +142,31 @@ def _make_evaluator(ds, split, plan, cfg: Config, metric_names, ks, target):
             mask_label = "train" if target == "valid" else "train+valid"
     value_pairs = None
     if value:
-        if not ds.inter.has_field(cfg.truth_field):
-            raise ConfigError(f"value metrics need the {cfg.truth_field!r} column; "
+        if not ds.inter.has_field(truth_field):
+            raise ConfigError(f"value metrics need the {truth_field!r} column; "
                               "set label_source/label_threshold")
-        value_pairs = _value_pairs(ds, target_rows, cfg.truth_field)
+        value_pairs = _value_pairs(ds, target_rows, truth_field)
     return Evaluator(ds.n_items, users, positives, metric_names, ks,
                      mask_items=mask_items, candidates=candidates,
-                     batch_size=cfg.eval_batch_size, mask_label=mask_label,
+                     batch_size=batch_size, mask_label=mask_label,
                      candidate_label=cand_label, value_pairs=value_pairs,
-                     config_hash=cfg.hash, user_field=cfg.user_field,
-                     item_field=cfg.item_field)
+                     config_hash=config_hash, user_field=ds.user_field,
+                     item_field=ds.item_field)
+
+
+def evaluate(model, ds, plan, metric_names, ks, batch_size=512,
+             mask_train=True, time_field="timestamp") -> MetricReport:
+    """Split the dataset per ``plan`` and evaluate ``model`` on its test stage.
+
+    The split, candidates and history mask are wired exactly as in a run;
+    value metrics (rmse, mae) read the ``label`` column.
+    """
+    split = make_split(ds, plan, time_field=time_field)
+    ev = _make_evaluator(ds, split, plan, metric_names, ks, "test", mask_train,
+                         "label", batch_size, "")
+    if ev is None:
+        raise RecbenchError("test split is empty; nothing to evaluate")
+    return ev.evaluate(model)
 
 
 @dataclass
@@ -172,8 +193,8 @@ class RunResult:
     checkpoint_last: Path | None = None
 
 
-def _manifest(cfg, state: TrainState, rng, extra=None):
-    manifest = {
+def _manifest(cfg, state: TrainState, rng):
+    return {
         "model": cfg.model,
         "config": cfg.to_dict(),
         "config_hash": cfg.hash,
@@ -184,14 +205,15 @@ def _manifest(cfg, state: TrainState, rng, extra=None):
         "finished": state.finished,
         "rng_state": rng.bit_generator.state if rng is not None else None,
     }
-    if extra:
-        manifest.update(extra)
-    return manifest
 
 
 def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
          ckpt_best, ckpt_last, log, stop_after_epoch=None):
-    """Train to completion, early stop, or interruption; returns history."""
+    """Train to completion, early stop, or interruption; returns history.
+
+    Iterative models run up to ``cfg.train.epochs`` epochs; closed-form
+    models run one, over the single batch their ``epoch_batches`` yields.
+    """
     direction = metric_direction(cfg.valid_metric)
     losses, scores = [], []
     interrupted = False
@@ -202,34 +224,16 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
     def checkpoint(path):
         save_state(path, _manifest(cfg, state, rng), model.state_arrays())
 
-    def train_epoch(batches, epoch):
+    last = cfg.train.epochs if model.iterative else 1
+    for epoch in range(state.epoch + 1, last + 1):
         # a diverging step overflows before its loss is checked; the check
         # reports that as one error rather than as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = float(np.mean([model.calculate_loss(b) for b in batches]))
-        if not math.isfinite(loss):
-            raise ModelError(f"training diverged: epoch {epoch} loss is {loss} "
-                             "(try a smaller learning rate)")
-        return loss
-
-    if not model.iterative:
-        loss = train_epoch([model.train_batch()], 1)
-        losses.append(loss)
-        state.epoch = 1
-        score = valid_scorer(model) if valid_scorer else None
-        if score is not None:
-            scores.append(score)
-            state.best_score = score
-        state.best_epoch = 1
-        state.finished = True
-        checkpoint(ckpt_best)
-        checkpoint(ckpt_last)
-        log.write(f"fit (closed form): loss={loss:.6f}"
-                  + (f" valid={score:.6f}" if score is not None else ""))
-        return losses, scores, interrupted
-
-    for epoch in range(state.epoch + 1, cfg.train.epochs + 1):
-        epoch_loss = train_epoch(model.epoch_batches(rng), epoch)
+            epoch_loss = float(np.mean([model.calculate_loss(b)
+                                        for b in model.epoch_batches(rng)]))
+        if not math.isfinite(epoch_loss):
+            raise ModelError(f"training diverged: epoch {epoch} loss is "
+                             f"{epoch_loss} (try a smaller learning rate)")
         losses.append(epoch_loss)
         state.epoch = epoch
         score = valid_scorer(model) if valid_scorer else None
@@ -246,7 +250,7 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
             state.best_epoch = epoch
             checkpoint(ckpt_best)
         stopping = score is not None and state.stale >= cfg.train.patience
-        if stopping or epoch == cfg.train.epochs:
+        if stopping or epoch == last:
             state.finished = True
         checkpoint(ckpt_last)
         log.write(f"epoch {epoch}: loss={epoch_loss:.6f}"
@@ -282,7 +286,8 @@ def _valid_scorer(ds, split, plan, cfg):
     if kind == "ranking" and k is None:
         raise ConfigError(f"ranking valid_metric needs a K, e.g. {base}@10")
     ks = [k] if k is not None else []
-    ev = _make_evaluator(ds, split, plan, cfg, [base], ks, target="valid")
+    ev = _make_evaluator(ds, split, plan, [base], ks, "valid", cfg.mask_train,
+                         cfg.truth_field, cfg.eval_batch_size, cfg.hash)
     if ev is None:
         return None
     key = f"{base}@{k}" if k is not None else base
@@ -305,8 +310,10 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
     if len(split.train) == 0:
         raise RecbenchError("train split is empty")
     rng = np.random.default_rng(cfg.train.seed)
-    model = build_model(cfg.model, ds, split.train, cfg.train,
-                        params=cfg.model_params.get(cfg.model, {}), rng=rng)
+    # FM trains on the labels that label_source/label_threshold wrote
+    params = {"label_field": cfg.truth_field, **cfg.model_params.get(cfg.model, {})}
+    model = build_model(cfg.model, ds, split.train, cfg.train, params=params,
+                        rng=rng)
     state = TrainState()
     if resume is not None:
         manifest, arrays = resume
@@ -336,8 +343,9 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
     if result.interrupted:
         return result
     model.load_state_arrays(load_state(result.checkpoint_best)[1])
-    test_eval = _make_evaluator(ds, split, plan, cfg, list(cfg.metrics),
-                                list(cfg.topk), target="test")
+    test_eval = _make_evaluator(ds, split, plan, list(cfg.metrics),
+                                list(cfg.topk), "test", cfg.mask_train,
+                                cfg.truth_field, cfg.eval_batch_size, cfg.hash)
     if test_eval is None:
         raise RecbenchError("test split is empty; nothing to evaluate")
     result.report = test_eval.evaluate(model)

@@ -123,10 +123,10 @@ def _flatten(cfg: Config):
 
 
 def _apply_assignment(cfg: Config, assignment, trial_index, seed) -> Config:
-    overrides = [(k, v) for k, v in assignment.items()]
+    # the trial seed goes first, so a searched seed or train.seed wins
+    overrides = [("seed", seed), ("train.seed", seed)]
+    overrides.extend(assignment.items())
     overrides.append(("out_dir", str(Path(cfg.out_dir) / f"trial_{trial_index:04d}")))
-    overrides.append(("seed", seed))
-    overrides.append(("train.seed", seed))
     return load_config(None, _flatten(cfg) + overrides)
 
 
@@ -142,7 +142,7 @@ def _run_trial(cfg, assignment, index, seed):
     result = run_experiment(trial_cfg)
     best_valid = (max(result.valid_scores) if metric_direction(cfg.valid_metric) > 0
                   else min(result.valid_scores)) if result.valid_scores else float("nan")
-    return TrialResult(assignment=dict(assignment), seed=seed,
+    return TrialResult(assignment=dict(assignment), seed=trial_cfg.seed,
                        valid_score=best_valid,
                        test_metrics=dict(result.report.values),
                        wall_time=time.perf_counter() - start,

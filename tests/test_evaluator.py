@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recbench.errors import EvalError
-from recbench.evaluator import Evaluator, evaluate
+from recbench import Evaluator, evaluate
 from recbench.models import PopularityModel, TrainConfig
 from recbench.protocol import parse_eval_setting
 from recbench.ranking import (compact_scores, compact_top_items, reshape_scores,
@@ -309,3 +309,36 @@ class TestConvenienceEvaluate:
         payload = json.loads(report.to_json())
         assert payload["n_users"] == 3.0
         assert "recall@2" in payload
+
+
+class TestEvaluateStages:
+    def test_ranking_and_value_metrics_together(self, rng):
+        from recbench.batch import Batch
+        from recbench.dataset import set_label_by_threshold
+        from recbench.protocol import make_split
+
+        n = 80
+        ds = set_label_by_threshold(build_dataset(
+            [f"u{v}" for v in rng.integers(0, 8, size=n)],
+            [f"i{v}" for v in rng.integers(0, 12, size=n)],
+            ratings=rng.integers(1, 6, size=n).astype(float)), "rating", 4.0)
+        plan = parse_eval_setting("RO_RS,full", seed=3)
+        split = make_split(ds, plan)
+        model = PopularityModel(ds, split.train, TrainConfig())
+        model.calculate_loss(model.train_batch())
+        report = evaluate(model, ds, plan, ["recall", "rmse"], [5])
+        rows = split.test
+        preds = model.predict(Batch({"user_id": ds.user_ids()[rows],
+                                     "item_id": ds.item_ids()[rows]}))
+        truths = ds.inter.columns["label"][rows]
+        assert report.values["rmse"] == np.sqrt(np.mean((preds - truths) ** 2))
+        assert 0 <= report.values["recall@5"] <= 1
+
+    def test_empty_test_stage_is_an_error(self):
+        from recbench.errors import RecbenchError
+
+        ds = build_dataset(["a", "b"], ["i1", "i2"])  # one row each: train only
+        model = PopularityModel(ds, np.arange(2), TrainConfig())
+        model.calculate_loss(model.train_batch())
+        with pytest.raises(RecbenchError, match="test split is empty"):
+            evaluate(model, ds, parse_eval_setting("RO_LS,full"), ["recall"], [1])

@@ -169,3 +169,14 @@ class TestProperties:
             for fn in (recall_at_k, precision_at_k, ndcg_at_k, mrr_at_k):
                 vals = fn(hits, pos, 6)[keep]
                 assert np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-12)
+
+
+class TestValueDirection:
+    def test_registered_value_metric_is_minimized(self, monkeypatch):
+        import recbench.metrics as metrics_mod
+
+        monkeypatch.setattr(metrics_mod, "_VALUE", dict(metrics_mod._VALUE))
+        register_metric("mse", lambda p, t: float(np.mean((p - t) ** 2)),
+                        kind="value")
+        assert metric_direction("mse") == -1
+        assert metric_direction("MAE") == -1

@@ -850,3 +850,19 @@ class TestStateRoundTrip:
         for name in arrays:
             np.testing.assert_array_equal(resumed.state_arrays()[name],
                                           straight.state_arrays()[name])
+
+
+class TestClosedFormEpoch:
+    def test_one_epoch_is_the_train_batch(self, rng):
+        _, models = _build_all_models(rng)
+        for kind in ("popularity", "itemknn", "ease"):
+            model = models[kind]
+            draw = np.random.default_rng(0)
+            state = draw.bit_generator.state
+            batches = list(model.epoch_batches(draw))
+            assert len(batches) == 1, kind
+            expected = model.train_batch()
+            assert set(batches[0]) == set(expected), kind
+            for name in expected:
+                np.testing.assert_array_equal(batches[0][name], expected[name])
+            assert draw.bit_generator.state == state, kind  # draws nothing

@@ -294,3 +294,55 @@ class TestTruthField:
             reports[truth] = run_experiment(cfg).report
         assert reports["click"].n_users == reports["label"].n_users < 60
         assert reports["click"].values == reports["label"].values
+
+
+class TestOneFitLoop:
+    # report.json of these runs, recorded before closed-form models moved
+    # into the epoch loop; recall and mrr are exact ratios of hit counts
+    EXPECTED = {
+        "popularity": '{\n  "mrr@3": 0.13675213675213674,\n  "n_users": 39.0,\n'
+                      '  "recall@3": 0.2564102564102564\n}\n',
+        "itemknn": '{\n  "mrr@3": 0.39316239316239315,\n  "n_users": 39.0,\n'
+                   '  "recall@3": 0.5128205128205128\n}\n',
+    }
+
+    @pytest.mark.parametrize("model", sorted(EXPECTED))
+    def test_closed_form_run_is_one_epoch(self, tmp_path, model):
+        import subprocess
+        import sys
+
+        inter = _write_planted(tmp_path, n_users=40, n_items=30,
+                               top_frac=0.15, seed=4)
+        out = tmp_path / model
+        proc = subprocess.run(
+            [sys.executable, "-m", "recbench.cli", "run", "--quiet",
+             "--set", f"inter_path={inter}", "--set", f"model={model}",
+             "--set", f"out_dir={out}", "--set", "metrics=[recall, mrr]",
+             "--set", "topk=[3]", "--set", "valid_metric=mrr@3"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        log = (out / "run.log").read_text(encoding="utf-8")
+        epochs = [line for line in log.splitlines() if " | epoch " in line]
+        assert len(epochs) == 1 and " | epoch 1: " in epochs[0], epochs
+        assert (out / "report.json").read_text(encoding="utf-8") == self.EXPECTED[model]
+        assert load_state(out / "model_last.ckpt")[0]["finished"]
+
+    def test_fm_trains_on_truth_field(self, tmp_path):
+        inter = tmp_path / "r.inter"
+        rng = np.random.default_rng(0)
+        rows = [f"u{rng.integers(0, 8)},i{rng.integers(0, 10)},"
+                f"{rng.integers(1, 6)}.0,{t}.0" for t in range(60)]
+        inter.write_text("user_id:token,item_id:token,rating:float,"
+                         "timestamp:float\n" + "\n".join(rows) + "\n",
+                         encoding="utf-8")
+        reports = {}
+        for truth in ("label", "click"):
+            cfg = load_config(None, [
+                f"inter_path={inter}", "model=fm", "eval_setting=TO_RS,full",
+                "label_source=rating", "label_threshold=4.0",
+                f"truth_field={truth}", "metrics=[rmse, recall]", "topk=[3]",
+                "valid_metric=rmse", "train.epochs=2", "train.batch_size=16",
+                f"out_dir={tmp_path / truth}",
+            ])
+            reports[truth] = run_experiment(cfg).report.values
+        assert reports["click"] == reports["label"]

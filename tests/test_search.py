@@ -135,3 +135,18 @@ class TestRandomSearch:
         b = grid_search(cfg, space, parallel=True)
         assert [t.valid_score for t in a] == [t.valid_score for t in b]
         assert all(t.seed != cfg.seed for t in a)  # derived per-trial seeds
+
+
+class TestSearchedSeed:
+    def test_assignment_seed_reaches_each_trial(self, tmp_path):
+        from recbench.models import load_state
+
+        cfg = _toy_cfg(tmp_path)
+        trials = grid_search(cfg, SearchSpace({"seed": [1, 2, 3],
+                                               "train.seed": [7]}))
+        seeds = {}
+        for t in trials:
+            config = load_state(Path(t.out_dir) / "model_last.ckpt")[0]["config"]
+            seeds[t.assignment["seed"]] = (t.seed, config["seed"],
+                                           config["train"]["seed"])
+        assert seeds == {s: (s, s, 7) for s in (1, 2, 3)}
