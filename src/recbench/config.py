@@ -258,6 +258,9 @@ def validate_config(cfg: Config):
     base, at, k = cfg.valid_metric.partition("@")
     if at and not k.isdigit():
         raise ConfigError(f"valid_metric {cfg.valid_metric!r} has a non-integer K")
+    for key, seed in (("seed", cfg.seed), ("train.seed", cfg.train.seed)):
+        if seed < 0:
+            raise ConfigError(f"{key} must be non-negative, got {seed}")
     return cfg
 
 

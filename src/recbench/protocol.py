@@ -22,12 +22,21 @@ All operations are pure functions of (dataset, plan, seed).  Per-user RNG
 streams are derived from (seed, purpose, user ID), so results do not
 depend on scheduling or user evaluation order.  The shuffle, the valid
 negatives and the test negatives each have their own purpose, so the
-valid candidates are drawn independently of the test ones.
+valid candidates are drawn independently of the test ones.  A stream is
+defined as PCG64 seeded by ``SeedSequence([seed, purpose, user])``
+(:func:`user_rng`).  :func:`user_streams` computes every user's starting
+state in one vectorised pass of numpy's documented seeding algorithm
+(SeedSequence's hash mixing, ``generate_state(4, uint64)``, then PCG64's
+``srandom``) and sets it on one reused ``Generator``; a test checks the
+pass against :func:`user_rng`, so a numpy release that changes the
+algorithm fails it.
 
 Per-user grouping has one implementation, :func:`user_index`: one sort of
 ``user * width + value`` keys gives each user's sorted distinct values as
-CSR arrays.  The split reads it directly: it orders each user's segment of
-the flat row array in place and cuts all segments in one vectorised pass.
+CSR arrays.  The split reads it directly: it shuffles each user's segment
+of the flat row array in place (RO) or sorts all rows by (user, timestamp)
+in one stable ``lexsort`` (TO), and cuts all segments in one vectorised
+pass.
 Positives, histories, the uniN known-item sets and BPR's training-negative
 sampler are read from it too.
 A uniN draw never scans the catalog: each positive draws N distinct
@@ -55,8 +64,85 @@ _RNG_NEGATIVES = 2          # test candidates
 _RNG_VALID_NEGATIVES = 3    # valid candidates
 
 
+# SeedSequence's hash-mixing constants (O'Neill's seed_seq, pool of 4 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
 def user_rng(seed, purpose, user_id):
+    """The stream of one (seed, purpose, user): the definition :func:`user_streams` follows."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), purpose, int(user_id)]))
+
+
+def _seed_states(seed, purpose, users):
+    """``SeedSequence([seed, purpose, user]).generate_state(4, uint64)`` for every user.
+
+    One vectorised pass over all users; returns the four words as four
+    uint64 arrays.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ProtocolError(f"seed must be non-negative, got {seed}")
+    users = np.asarray(users, dtype=np.int64)
+    assert ((users >= 0) & (users <= _MASK32)).all(), "user IDs are remapped below 2**32"
+    n = len(users)
+    # the entropy words of [seed, purpose, user]: seed in 32-bit words, low first
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(n, w, np.uint32) for w in words + [purpose]] + [users.astype(np.uint32)]
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # entropy beyond the pool mixes into every word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 words hashed from the cycled pool, paired low first
+    const, mult = _INIT_B, _MULT_B
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)]
+
+
+def user_streams(seed, purpose, users):
+    """Yield, for each of ``users``, a Generator in ``user_rng(seed, purpose, user)``'s state.
+
+    The same Generator object is yielded each time, reset to the next
+    user's state, so draw from it before advancing.
+    """
+    s_hi, s_lo, i_hi, i_lo = _seed_states(seed, purpose, users)
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    # per-user Python ints: .tolist() on the four arrays would hold them all
+    # at once, about 0.6 MB more peak RSS on a 3,000-user uni99 run
+    for k in range(len(s_hi)):
+        a, b, c, d = s_hi.item(k), s_lo.item(k), i_hi.item(k), i_lo.item(k)
+        # PCG64's srandom over the 128-bit (state, sequence) pair
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        state["state"] = {"state": ((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128,
+                          "inc": inc}
+        rng.bit_generator.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -79,6 +165,8 @@ class EvalPlan:
             raise ProtocolError(f"unknown candidate mode {self.candidates!r}")
         if self.candidates == "uni" and self.n_negatives < 1:
             raise ProtocolError("uniN requires N >= 1")
+        if self.seed < 0:
+            raise ProtocolError(f"seed must be non-negative, got {self.seed}")
         if self.splitting == "RS":
             if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
                 raise ProtocolError(f"invalid split ratios {self.ratios}")
@@ -200,14 +288,14 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
     below = known - np.arange(len(known)) + np.repeat(k_ptr[:-1], np.diff(k_ptr))
     purpose = _RNG_NEGATIVES if target == "test" else _RNG_VALID_NEGATIVES
     candidates = []
-    for u, p, j in zip(users, positives, np.searchsorted(k_users, users)):
+    for u, p, j, rng in zip(users, positives, np.searchsorted(k_users, users),
+                            user_streams(seed, purpose, users)):
         lo, hi = k_ptr[j], k_ptr[j + 1]
         n_eligible = n_items - (hi - lo)
         if n_eligible < n_negatives:
             raise ProtocolError(
                 f"user {int(u)}: only {n_eligible} items are eligible as "
                 f"negatives, fewer than N={n_negatives}")
-        rng = user_rng(seed, purpose, u)
         idx = np.concatenate([rng.choice(n_eligible, size=n_negatives, replace=False)
                               for _ in p])
         # the idx-th eligible item skips each known item with below <= idx
@@ -223,25 +311,26 @@ def make_split(ds: Dataset, plan: EvalPlan, time_field="timestamp") -> SplitResu
     """Order each user's rows and split them into train/valid/test per the plan.
 
     One :func:`user_index` call groups the row indices by user, in file
-    order.  Each user's segment of that flat array is then ordered in
-    place, and one vectorised pass cuts every segment at its two split
-    points.
+    order.  Under RO each user's segment of that flat array is shuffled in
+    place; under TO one stable ``lexsort`` orders all rows by user, then
+    timestamp.  One vectorised pass then cuts every segment at its two
+    split points.
     """
     user_col = ds.user_ids()
     n = len(user_col)
     if n == 0:
         raise ProtocolError("cannot group an empty interaction table")
-    if plan.ordering == "TO":
-        if not ds.inter.has_field(time_field):
-            raise ProtocolError(f"temporal ordering requires the {time_field!r} field")
-        ts = np.asarray(ds.inter.columns[time_field], dtype=np.float64)
+    if plan.ordering == "TO" and not ds.inter.has_field(time_field):
+        raise ProtocolError(f"temporal ordering requires the {time_field!r} field")
     users, indptr, rows = user_index(user_col, np.arange(n), n)
-    for u, lo, hi in zip(users.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()):
-        seg = rows[lo:hi]
-        if plan.ordering == "RO":
-            seg[:] = seg[user_rng(plan.seed, _RNG_ORDER, u).permutation(hi - lo)]
-        else:
-            seg[:] = seg[np.argsort(ts[seg], kind="stable")]
+    if plan.ordering == "TO":  # lexsort is stable: timestamp ties keep file order
+        rows = np.lexsort((np.asarray(ds.inter.columns[time_field], dtype=np.float64),
+                           user_col))
+    else:
+        for lo, hi, rng in zip(indptr[:-1].tolist(), indptr[1:].tolist(),
+                               user_streams(plan.seed, _RNG_ORDER, users)):
+            seg = rows[lo:hi]
+            seg[:] = seg[rng.permutation(hi - lo)]
     sizes = np.diff(indptr)
     if plan.splitting == "RS":  # floors for train and valid, the rest to test
         n_train = (plan.ratios[0] * sizes).astype(np.int64)

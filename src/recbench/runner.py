@@ -207,13 +207,15 @@ def _manifest(cfg, state: TrainState, rng):
     }
 
 
+def _last_epoch(model, cfg: Config):
+    """Iterative models run up to ``cfg.train.epochs`` epochs; closed-form
+    models run one, over the single batch their ``epoch_batches`` yields."""
+    return cfg.train.epochs if model.iterative else 1
+
+
 def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
          ckpt_best, ckpt_last, log, stop_after_epoch=None):
-    """Train to completion, early stop, or interruption; returns history.
-
-    Iterative models run up to ``cfg.train.epochs`` epochs; closed-form
-    models run one, over the single batch their ``epoch_batches`` yields.
-    """
+    """Train to completion, early stop, or interruption; returns history."""
     direction = metric_direction(cfg.valid_metric)
     losses, scores = [], []
     interrupted = False
@@ -224,7 +226,7 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
     def checkpoint(path):
         save_state(path, _manifest(cfg, state, rng), model.state_arrays())
 
-    last = cfg.train.epochs if model.iterative else 1
+    last = _last_epoch(model, cfg)
     for epoch in range(state.epoch + 1, last + 1):
         # a diverging step overflows before its loss is checked; the check
         # reports that as one error rather than as numpy warnings
@@ -332,6 +334,8 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
                        checkpoint_last=out_dir / "model_last.ckpt")
     if state.finished:
         log.write("checkpoint already finished; re-emitting the report")
+    elif state.epoch >= _last_epoch(model, cfg):
+        log.write(f"no epoch left after epoch {state.epoch}; re-emitting the report")
     else:
         scorer = _valid_scorer(ds, split, plan, cfg)
         if scorer is None:

@@ -91,6 +91,16 @@ class TestRun:
         assert proc.stderr.startswith("error:")
         assert "bogus" in proc.stderr
 
+    def test_negative_seed_is_one_error_line(self, tmp_path):
+        for override in ("seed=-1", "train.seed=-1"):
+            proc = run_cli("run", "--set", f"inter_path={TOY}", "--set", override,
+                           "--set", f"out_dir={tmp_path}", "--quiet")
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+            assert "non-negative" in lines[0]
+
     def test_diverged_training_is_one_error_line(self, tmp_path):
         users, items = planted_interactions(n_users=30, n_items=20,
                                             top_frac=0.1, seed=6)

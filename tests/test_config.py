@@ -61,6 +61,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown model"):
             load_config(None, ["inter_path=d", "model=mlp"])
 
+    @pytest.mark.parametrize("key", ["seed", "train.seed"])
+    def test_negative_seed(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be non-negative"):
+            load_config(None, ["inter_path=d", f"{key}=-1"])
+
     def test_filter_grammar(self):
         assert parse_filter_spec("rating>=3.0") == ("value", "rating", ">=", 3.0)
         assert parse_filter_spec("inter_num(5,2)") == ("inter_num", 5, 2)

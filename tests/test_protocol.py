@@ -45,6 +45,10 @@ class TestParseEvalSetting:
         with pytest.raises(ProtocolError):
             EvalPlan("RO", "RS", ratios=(0.5, 0.4, 0.2))
 
+    def test_negative_seed(self):
+        with pytest.raises(ProtocolError, match="non-negative"):
+            parse_eval_setting("RO_RS,full", seed=-1)
+
 
 def _ordered(ds, spec):
     """A one-user dataset's rows in split order: train, then valid, then test."""
@@ -262,6 +266,56 @@ class TestSplitOracle:
         ds = build_dataset(["a", "a", "b"], ["x", "y", "z"])
         self._assert_matches(ds, parse_eval_setting("TO_LS,full"))
         self._assert_matches(ds, parse_eval_setting("RO_LS,full", seed=3))
+
+
+class TestTemporalSplitOracle:
+    """TO's one ``lexsort`` equals the per-user stable argsort it replaced.
+
+    ``_group_order_split`` orders each user's rows with
+    ``argsort(ts[rows], kind="stable")``; the cases mix ties, NaN and
+    signed zeros, which compare equal.
+    """
+
+    def test_ties_nan_and_signed_zero(self, rng):
+        values = np.array([np.nan, -0.0, 0.0, 1.0, 2.0, -3.5])
+        for trial in range(400):
+            n = int(rng.integers(1, 60))
+            users = [f"u{v}" for v in rng.integers(0, int(rng.integers(1, 12)), size=n)]
+            ts = values[rng.integers(0, len(values), size=n)]
+            ds = build_dataset(users, [f"i{k}" for k in range(n)], timestamps=ts)
+            for spec in ("TO_RS,full", "TO_LS,full"):
+                plan = parse_eval_setting(spec, seed=trial)
+                got = make_split(ds, plan)
+                for a, b in zip((got.train, got.valid, got.test), _group_order_split(ds, plan)):
+                    np.testing.assert_array_equal(a, b)
+
+
+class TestUserStreams:
+    """The one-pass stream states equal ``SeedSequence`` -> ``default_rng``.
+
+    This pins numpy's seeding algorithm: a release that changes it fails here.
+    """
+
+    SEEDS = (0, 1, 2**31, 2**32 - 1, 2**32, 2**64)
+
+    def test_states_and_draws_match_user_rng(self):
+        users = np.concatenate([np.arange(3001), [2**31, 2**32 - 1]])
+        for seed in self.SEEDS:
+            for purpose in (protocol._RNG_ORDER, protocol._RNG_NEGATIVES,
+                            protocol._RNG_VALID_NEGATIVES):
+                for u, got in zip(users.tolist(),
+                                  protocol.user_streams(seed, purpose, users)):
+                    want = protocol.user_rng(seed, purpose, u)
+                    assert got.bit_generator.state == want.bit_generator.state, (seed, purpose, u)
+                    e = 99 + u % 997
+                    np.testing.assert_array_equal(got.choice(e, 99, replace=False),
+                                                  want.choice(e, 99, replace=False))
+                    n = 1 + u % 50
+                    np.testing.assert_array_equal(got.permutation(n), want.permutation(n))
+
+    def test_negative_seed(self):
+        with pytest.raises(ProtocolError, match="non-negative"):
+            next(protocol.user_streams(-1, protocol._RNG_ORDER, [1]))
 
 
 class TestBuildCandidates:

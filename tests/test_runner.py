@@ -209,6 +209,31 @@ class TestResume:
         assert first.report_text_path.read_bytes() == before
         assert again.report.to_text().encode() == before
 
+    def test_resume_with_no_epoch_left_builds_only_the_test_stage(self, tmp_path,
+                                                                  monkeypatch):
+        from recbench import runner
+
+        inter = _write_planted(tmp_path, n_users=30, n_items=40,
+                               top_frac=0.1, seed=6)
+        cfg = load_config(None, [f"inter_path={inter}", "model=popularity",
+                                 "eval_setting=RO_LS,uni5", "metrics=[recall]",
+                                 "topk=[5]", "valid_metric=recall@5",
+                                 f"out_dir={tmp_path / 'cf'}"])
+        first = run_experiment(cfg)
+        before = first.report_json_path.read_bytes()
+        assert not load_state(first.checkpoint_best)[0]["finished"]
+        targets, real = [], runner.build_candidates
+
+        def build_candidates(*args, target="test", **kwargs):
+            targets.append(target)
+            return real(*args, target=target, **kwargs)
+
+        monkeypatch.setattr(runner, "build_candidates", build_candidates)
+        again = resume_experiment(first.checkpoint_best)
+        assert targets == ["test"]
+        assert again.epoch_losses == []
+        assert first.report_json_path.read_bytes() == before
+
     def test_hash_mismatch_rejected_without_force(self, tmp_path):
         inter = _write_planted(tmp_path, n_users=30, n_items=20,
                                top_frac=0.1, seed=7)
