@@ -6,7 +6,7 @@ model zoo behind a two-function interface, and a runner with
 deterministic training, checkpoint/resume, and hyperparameter search.
 """
 
-from .batch import Batch, batch_from_table
+from .batch import Batch
 from .config import Config, load_config
 from .dataset import (Dataset, Interval, ValueSet, Vocabulary, fill_nan,
                       filter_by_field_value, filter_by_inter_num, normalize,
@@ -30,7 +30,7 @@ __all__ = [
     "Dataset", "Vocabulary", "Interval", "ValueSet",
     "filter_by_inter_num", "filter_by_field_value", "remap_ids", "fill_nan",
     "set_label_by_threshold", "normalize",
-    "Batch", "batch_from_table",
+    "Batch",
     "EvalPlan", "SplitResult", "CandidateSet", "parse_eval_setting",
     "build_candidates", "make_split",
     "TOPK_BACKEND", "topk_find", "reshape_scores",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import EvalError
 from .evaluator import Evaluator
 from .ranking import TOPK_BACKEND
 
@@ -77,7 +78,9 @@ def bench_eval(n_users, n_items, k=10, repeats=10, seed=0,
                batch_size=1024) -> BenchResult:
     """Time both evaluation paths on one synthetic full-ranking instance."""
     if n_users < 1 or n_items < 2 or k < 1 or repeats < 1:
-        raise ValueError("benchmark sizes must be positive (and n_items >= 2)")
+        raise EvalError("benchmark sizes must be positive (and n_items >= 2)")
+    if seed < 0:
+        raise EvalError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n_users, n_items))
     pos_counts = rng.integers(1, 6, size=n_users)

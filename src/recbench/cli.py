@@ -64,35 +64,32 @@ def _run_overrides(args):
     return overrides
 
 
+def _print_result(result):
+    """Print a finished run's report, or how to resume an interrupted one."""
+    if result.interrupted:
+        print(f"interrupted; resume with: recbench resume "
+              f"--checkpoint {result.checkpoint_last}")
+    else:
+        sys.stdout.write(result.report.to_text())
+        print(f"report: {result.report_text_path}")
+    return 0
+
+
 def _cmd_run(args):
     from .runner import run_experiment
 
     cfg = load_config(args.config, _run_overrides(args))
-    result = run_experiment(cfg, stop_after_epoch=args.stop_after_epoch,
-                            echo=not args.quiet)
-    if result.interrupted:
-        print(f"interrupted; resume with: recbench resume "
-              f"--checkpoint {result.checkpoint_last}")
-        return 0
-    sys.stdout.write(result.report.to_text())
-    print(f"report: {result.report_text_path}")
-    return 0
+    return _print_result(run_experiment(cfg, stop_after_epoch=args.stop_after_epoch,
+                                        echo=not args.quiet))
 
 
 def _cmd_resume(args):
     from .runner import resume_experiment
 
-    result = resume_experiment(args.checkpoint, config_path=args.config,
-                               overrides=list(args.set or []), force=args.force,
-                               stop_after_epoch=args.stop_after_epoch,
-                               echo=not args.quiet)
-    if result.interrupted:
-        print(f"interrupted; resume with: recbench resume "
-              f"--checkpoint {result.checkpoint_last}")
-        return 0
-    sys.stdout.write(result.report.to_text())
-    print(f"report: {result.report_text_path}")
-    return 0
+    return _print_result(resume_experiment(
+        args.checkpoint, config_path=args.config, overrides=list(args.set or []),
+        force=args.force, stop_after_epoch=args.stop_after_epoch,
+        echo=not args.quiet))
 
 
 def _cmd_tune(args):

@@ -12,6 +12,12 @@ keys for nesting, e.g.::
     filters: ["rating>=3.0", "inter_num(5,5)"]
 
 Precedence is built-in defaults < config file < command-line overrides.
+The dataclass defaults are the schema: a key's value must have the type
+of its default, and a list key takes its default items' type.  Model
+keys (``itemknn.k``) are typed by ``MODEL_PARAM_SCHEMA``.  Files,
+overrides, checkpoint configs (:func:`config_from_dict`) and search
+trials all resolve through the same per-key path.
+
 Every effective value is echoed into the run log; the SHA-256 hash of the
 fully resolved config (16 hex chars) is embedded in checkpoints and
 report headers.
@@ -86,19 +92,12 @@ class Config:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_TUPLE_KEYS = {"filters", "normalize_fields", "metrics"}
-_INT_TUPLE_KEYS = {"topk"}
-_FLOAT_TUPLE_KEYS = {"split_ratios"}
-
-_BOOL_KEYS = {"mask_train"}
-_INT_KEYS = {"eval_batch_size", "seed"}
-_FLOAT_KEYS = {"label_threshold"}
-
-_TRAIN_TYPES = {
-    "learning_rate": float, "embedding_dim": int, "l2": float,
-    "batch_size": int, "epochs": int, "patience": int, "seed": int,
-    "loss": str,
-}
+# Defaults carry each key's type: a value is coerced to the type of its
+# field's default in Config() or TrainConfig().  A tuple default gives a tuple
+# of its first item's type; an empty or string tuple takes str(v) items.
+_DEFAULTS = {f.name: f.default for f in dc_fields(Config)
+             if f.name not in ("model_params", "train")}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dc_fields(TrainConfig)}
 
 
 def _coerce(key, value, target):
@@ -132,44 +131,35 @@ def _coerce(key, value, target):
     return value
 
 
+def _coerce_like(key, value, default):
+    if not isinstance(default, tuple):
+        return _coerce(key, value, type(default))
+    items = _coerce(key, value, list)
+    if not default or isinstance(default[0], str):
+        return tuple(str(v) for v in items)
+    return tuple(_coerce(key, v, type(default[0])) for v in items)
+
+
 def _apply_key(cfg: Config, key, value) -> Config:
-    if key.startswith("train."):
-        sub = key[len("train."):]
-        if sub not in _TRAIN_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        coerced = _coerce(key, value, _TRAIN_TYPES[sub])
-        return replace(cfg, train=replace(cfg.train, **{sub: coerced}))
     head, dot, sub = key.partition(".")
-    if dot and head in MODEL_PARAM_SCHEMA:
-        schema = MODEL_PARAM_SCHEMA[head]
-        if sub not in schema:
-            raise ConfigError(f"unknown config key {key!r} "
-                              f"(model {head!r} accepts {sorted(schema)})")
-        params = dict(cfg.model_params)
-        params.setdefault(head, {})
-        params[head] = dict(params[head])
-        params[head][sub] = _coerce(key, value, schema[sub])
-        return replace(cfg, model_params=params)
-    if dot:
+    if not dot:
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        return replace(cfg, **{key: _coerce_like(key, value, _DEFAULTS[key])})
+    if head == "train":
+        if sub not in _TRAIN_DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        coerced = _coerce_like(key, value, _TRAIN_DEFAULTS[sub])
+        return replace(cfg, train=replace(cfg.train, **{sub: coerced}))
+    if head not in MODEL_PARAM_SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
-    names = {f.name for f in dc_fields(Config)}
-    if key not in names or key in ("model_params", "train"):
-        raise ConfigError(f"unknown config key {key!r}")
-    if key in _TUPLE_KEYS:
-        value = tuple(str(v) for v in _coerce(key, value, list))
-    elif key in _INT_TUPLE_KEYS:
-        value = tuple(_coerce(key, v, int) for v in _coerce(key, value, list))
-    elif key in _FLOAT_TUPLE_KEYS:
-        value = tuple(_coerce(key, v, float) for v in _coerce(key, value, list))
-    elif key in _BOOL_KEYS:
-        value = _coerce(key, value, bool)
-    elif key in _INT_KEYS:
-        value = _coerce(key, value, int)
-    elif key in _FLOAT_KEYS:
-        value = _coerce(key, value, float)
-    else:
-        value = _coerce(key, value, str)
-    return replace(cfg, **{key: value})
+    schema = MODEL_PARAM_SCHEMA[head]
+    if sub not in schema:
+        raise ConfigError(f"unknown config key {key!r} "
+                          f"(model {head!r} accepts {sorted(schema)})")
+    params = dict(cfg.model_params)
+    params[head] = {**params.get(head, {}), sub: _coerce(key, value, schema[sub])}
+    return replace(cfg, model_params=params)
 
 
 def _load_flat_file(path):
@@ -255,9 +245,7 @@ def validate_config(cfg: Config):
                           f"(available: {sorted(MODEL_REGISTRY)})")
     for spec in cfg.filters:
         parse_filter_spec(spec)
-    base, at, k = cfg.valid_metric.partition("@")
-    if at and not k.isdigit():
-        raise ConfigError(f"valid_metric {cfg.valid_metric!r} has a non-integer K")
+    split_metric_key(cfg.valid_metric)
     for key, seed in (("seed", cfg.seed), ("train.seed", cfg.train.seed)):
         if seed < 0:
             raise ConfigError(f"{key} must be non-negative, got {seed}")
@@ -274,22 +262,24 @@ def split_metric_key(name):
     return base, int(k)
 
 
+def config_pairs(data):
+    """Flatten ``Config.to_dict()`` output into ``(dotted key, value)`` pairs."""
+    pairs = []
+    for key, value in data.items():
+        if key == "train":
+            pairs.extend((f"train.{k}", v) for k, v in value.items())
+        elif key == "model_params":
+            pairs.extend((f"{m}.{k}", v) for m, sub in value.items()
+                         for k, v in sub.items())
+        else:
+            pairs.append((key, value))
+    return pairs
+
+
 def config_from_dict(data) -> Config:
     """Rebuild a Config from ``Config.to_dict()`` output (checkpoints)."""
-    data = dict(data)
     try:
-        train = TrainConfig(**data.pop("train"))
-        model_params = {k: dict(v) for k, v in data.pop("model_params").items()}
-        kwargs = {}
-        for f in dc_fields(Config):
-            if f.name in ("train", "model_params") or f.name not in data:
-                continue
-            value = data.pop(f.name)
-            if f.name in _TUPLE_KEYS | _INT_TUPLE_KEYS | _FLOAT_TUPLE_KEYS:
-                value = tuple(value)
-            kwargs[f.name] = value
-    except (KeyError, TypeError) as exc:
+        pairs = config_pairs(data)
+    except (AttributeError, TypeError) as exc:
         raise ConfigError(f"malformed stored config: {exc}") from None
-    if data:
-        raise ConfigError(f"stored config has unknown keys {sorted(data)}")
-    return validate_config(Config(train=train, model_params=model_params, **kwargs))
+    return load_config(None, pairs)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds_mod
-from .config import Config, config_from_dict, parse_filter_spec, split_metric_key
+from .config import (Config, config_from_dict, load_config, parse_filter_spec,
+                     split_metric_key)
 from .errors import CheckpointError, ConfigError, ModelError, RecbenchError
 from .evaluator import Evaluator, MetricReport
 from .metrics import metric_direction, metric_kind
@@ -194,17 +195,12 @@ class RunResult:
 
 
 def _manifest(cfg, state: TrainState, rng):
-    return {
-        "model": cfg.model,
-        "config": cfg.to_dict(),
-        "config_hash": cfg.hash,
-        "epoch": state.epoch,
-        "best_score": None if math.isnan(state.best_score) else state.best_score,
-        "best_epoch": state.best_epoch,
-        "stale": state.stale,
-        "finished": state.finished,
-        "rng_state": rng.bit_generator.state if rng is not None else None,
-    }
+    record = asdict(state)
+    if math.isnan(state.best_score):
+        record["best_score"] = None
+    return {"model": cfg.model, "config": cfg.to_dict(), "config_hash": cfg.hash,
+            **record,
+            "rng_state": rng.bit_generator.state if rng is not None else None}
 
 
 def _last_epoch(model, cfg: Config):
@@ -322,12 +318,9 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
         model.load_state_arrays(arrays)
         if manifest["rng_state"] is not None:
             rng.bit_generator.state = manifest["rng_state"]
-        state = TrainState(epoch=manifest["epoch"],
-                           best_score=(math.nan if manifest["best_score"] is None
-                                       else manifest["best_score"]),
-                           best_epoch=manifest["best_epoch"],
-                           stale=manifest["stale"],
-                           finished=manifest["finished"])
+        state = TrainState(**{f.name: manifest[f.name] for f in fields(TrainState)})
+        if state.best_score is None:
+            state.best_score = math.nan
     out_dir = Path(cfg.out_dir)
     result = RunResult(report=None, config_hash=cfg.hash, out_dir=out_dir,
                        checkpoint_best=out_dir / "model_best.ckpt",
@@ -380,8 +373,6 @@ def resume_experiment(checkpoint_path, config_path=None, overrides=(),
     manifest, arrays = load_state(checkpoint_path)
     stored_cfg = config_from_dict(manifest["config"])
     if config_path is not None or overrides:
-        from .config import load_config
-
         cfg = load_config(config_path, overrides)
         if cfg.hash != manifest["config_hash"]:
             if not force:

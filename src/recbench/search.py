@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import Config, load_config
+from .config import Config, config_pairs, load_config
 from .errors import ConfigError
 from .metrics import metric_direction
 from .runner import run_experiment
@@ -109,25 +109,12 @@ class TrialResult:
     out_dir: str = ""
 
 
-def _flatten(cfg: Config):
-    flat = []
-    for key, value in cfg.to_dict().items():
-        if key == "train":
-            flat.extend((f"train.{k}", v) for k, v in value.items())
-        elif key == "model_params":
-            flat.extend((f"{m}.{k}", v) for m, sub in value.items()
-                        for k, v in sub.items())
-        else:
-            flat.append((key, value))
-    return flat
-
-
 def _apply_assignment(cfg: Config, assignment, trial_index, seed) -> Config:
     # the trial seed goes first, so a searched seed or train.seed wins
     overrides = [("seed", seed), ("train.seed", seed)]
     overrides.extend(assignment.items())
     overrides.append(("out_dir", str(Path(cfg.out_dir) / f"trial_{trial_index:04d}")))
-    return load_config(None, _flatten(cfg) + overrides)
+    return load_config(None, config_pairs(cfg.to_dict()) + overrides)
 
 
 def _trial_seed(seed, index, parallel):
@@ -198,15 +185,17 @@ def random_search(cfg: Config, space: SearchSpace, n_trials, seed=None,
         raise ConfigError("random search needs n_trials >= 1")
     _check_space(cfg, space)
     seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     assignments = draw_assignments(space, n_trials, seed)
     return _rank(_execute(cfg, assignments, parallel), cfg.valid_metric)
 
 
 def _check_space(cfg, space):
     """Reject parameters that the config would not accept."""
-    flat = _flatten(cfg)
+    pairs = config_pairs(cfg.to_dict())
     for name, values in space.params.items():
-        load_config(None, flat + [(name, values[0])])
+        load_config(None, pairs + [(name, values[0])])
 
 
 def search_summary(trials) -> dict:

@@ -1,0 +1,99 @@
+"""Golden digests of whole runs: record them, or recompute them for a test.
+
+The input is generated in pure Python (``random.Random``), so it does not
+depend on the numpy version; the results do, through float sums and
+BLAS, so the recorded file names the numpy, scipy and BLAS it was made
+with.  Every run uses paths relative to the working directory, so the
+configs stored in reports and checkpoints do not name a temporary
+folder.
+
+Re-record after a deliberate change to results::
+
+    PYTHONPATH=src python tests/record_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
+MODELS = ("popularity", "itemknn", "bpr", "ease", "fm")
+SETTINGS = ("RO_RS,full", "TO_LS,uni20")
+FILES = ("report.txt", "report.json", "model_best.ckpt", "model_last.ckpt")
+
+
+def write_input(path, n_users=300, n_items=400, seed=17):
+    """A seeded interaction file: 8-24 distinct items per user, 1-5 ratings."""
+    rand = random.Random(seed)
+    rows = ["user_id:token,item_id:token,rating:float,timestamp:float"]
+    t = 0
+    for u in range(n_users):
+        for i in rand.sample(range(n_items), rand.randint(8, 24)):
+            t += rand.randint(1, 50)
+            rows.append(f"u{u},i{i},{rand.randint(1, 5)}.0,{t}.0")
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _overrides(model, setting, out_dir):
+    return ["inter_path=golden.inter", f"model={model}",
+            f"eval_setting={setting}", "label_source=rating",
+            "label_threshold=4", "metrics=[recall, ndcg, mrr]", "topk=[5, 10]",
+            "valid_metric=ndcg@10", "train.epochs=3",
+            "train.embedding_dim=16", "train.batch_size=512",
+            "itemknn.k=20", "ease.l2=50", f"out_dir={out_dir}"]
+
+
+def run_scenarios():
+    """Run every scenario in the working directory; map output file -> SHA-256."""
+    from recbench.config import load_config
+    from recbench.runner import resume_experiment, run_experiment
+
+    write_input("golden.inter")
+    out_dirs = []
+    for model in MODELS:
+        for setting in SETTINGS:
+            out_dir = f"runs/{model}-{setting.replace(',', '-')}"
+            run_experiment(load_config(None, _overrides(model, setting, out_dir)))
+            out_dirs.append(out_dir)
+    out_dir = "runs/bpr-resumed"
+    run_experiment(load_config(None, _overrides("bpr", SETTINGS[0], out_dir)),
+                   stop_after_epoch=1)
+    resume_experiment(f"{out_dir}/model_last.ckpt")
+    out_dirs.append(out_dir)
+    return {f"{d}/{name}": hashlib.sha256(Path(d, name).read_bytes()).hexdigest()
+            for d in out_dirs for name in FILES}
+
+
+def environment():
+    """The libraries whose arithmetic the digests depend on."""
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            files = run_scenarios()
+        finally:
+            os.chdir(cwd)
+    DIGESTS.write_text(json.dumps({"environment": environment(), "files": files},
+                                  indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    print(f"wrote {len(files)} digests to {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

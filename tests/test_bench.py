@@ -6,6 +6,7 @@ import pytest
 
 from recbench import _topk_np, bench
 from recbench.bench import bench_eval
+from recbench.errors import EvalError
 
 
 class _TiedScores(bench.FixedScores):
@@ -49,9 +50,9 @@ class TestBenchEval:
         assert a.metrics == b.metrics
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EvalError):
             bench_eval(0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(EvalError):
             bench_eval(10, 1)
 
     def test_text_rendering(self):

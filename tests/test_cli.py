@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from recbench.models import load_state
 from tests.conftest import planted_interactions, write_inter_file
@@ -187,6 +188,22 @@ class TestTune:
         assert len(summary["trials"]) == 2
         assert "best_assignment" in summary
 
+    def test_negative_random_seed_is_one_error_line(self, tmp_path):
+        space = tmp_path / "hyper.test"
+        space.write_text("ease.l2=[1.0,10.0]\n", encoding="utf-8")
+        proc = run_cli("tune", "--set", f"inter_path={TOY}",
+                       "--set", "model=ease", "--set", f"out_dir={tmp_path}",
+                       "--space", str(space), "--method", "random",
+                       "--seed", "-1")
+        _assert_one_error_line(proc, "non-negative")
+
+
+def _assert_one_error_line(proc, text):
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert text in lines[0]
+
 
 class TestBenchCli:
     def test_small_bench(self):
@@ -195,6 +212,16 @@ class TestBenchCli:
         assert proc.returncode == 0, proc.stderr
         assert "speedup" in proc.stdout
         assert "reports identical        : yes" in proc.stdout
+
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--seed", "-1", "non-negative"), ("--users", "0", "positive"),
+        ("--k", "0", "positive"), ("--repeats", "0", "positive"),
+    ])
+    def test_bad_value_is_one_error_line(self, flag, value, text):
+        args = {"--users": "5", "--items": "8", "--k": "2", "--repeats": "1"}
+        args[flag] = value
+        proc = run_cli("bench", *[t for pair in args.items() for t in pair])
+        _assert_one_error_line(proc, text)
 
 
 _RUN_AND_LIST_SCIPY = """

@@ -1,10 +1,13 @@
 """Configuration resolution, precedence, and validation."""
 
+import hashlib
+
 import pytest
 
 from recbench.config import (config_from_dict, load_config,
                              parse_filter_spec, split_metric_key)
 from recbench.errors import ConfigError
+from recbench.search import _apply_assignment
 
 
 def _write_cfg(tmp_path, text):
@@ -109,3 +112,95 @@ class TestMetricKeys:
         assert split_metric_key("rmse") == ("rmse", None)
         with pytest.raises(ConfigError):
             split_metric_key("ndcg@ten")
+
+
+_EVERY_KIND = """\
+inter_path: d.inter
+user_path: d.user
+separator: ";"
+time_field: ts
+filters: ["rating>=3.0", "inter_num(2,2)"]
+label_source: rating
+label_threshold: 3
+normalize_fields: [rating]
+eval_setting: TO_LS,uni20
+split_ratios: [0.7, 0.2, 0.1]
+model: itemknn
+metrics: [recall, ndcg, mrr, 7]
+topk: [5, 10]
+valid_metric: mrr@5
+eval_batch_size: 64
+mask_train: false
+truth_field: click
+seed: 7
+out_dir: runs/pin
+train.learning_rate: 1e-2
+train.embedding_dim: 16
+train.l2: 0
+train.batch_size: 128
+train.epochs: 3
+train.patience: 2
+train.seed: 9
+train.loss: margin
+itemknn.k: 7
+itemknn.shrink: 2
+ease.l2: 55
+fm.fields: [user_id, item_id]
+"""
+
+
+def _repr_digest(cfg):
+    return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:16]
+
+
+class TestSchemaPin:
+    """Hashes and reprs recorded before key types came from the defaults.
+
+    ``Config.hash`` pins every value as JSON sees it (so ``3`` vs ``3.0``);
+    the repr digest also pins the Python types, tuples included.
+    """
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        every = load_config(_write_cfg(tmp_path, _EVERY_KIND))
+        trial = _apply_assignment(
+            every, {"train.learning_rate": 0.1, "itemknn.k": 3, "topk": [3]}, 2, 5)
+        return {"default": load_config(None, ["inter_path=d.inter"]),
+                "every": every, "trial": trial}
+
+    @pytest.mark.parametrize("name, config_hash, repr_digest", [
+        ("default", "08be4af764abea66", "376e85d608289b33"),
+        ("every", "eb335e06d551f26d", "fda90a48ece2dd81"),
+        ("trial", "1a67857685f883eb", "7e67ba68dfbd5c3b"),
+    ])
+    def test_hash_and_types_pinned(self, configs, name, config_hash, repr_digest):
+        cfg = configs[name]
+        assert cfg.hash == config_hash
+        assert _repr_digest(cfg) == repr_digest
+        back = config_from_dict(cfg.to_dict())
+        assert back == cfg
+        assert _repr_digest(back) == repr_digest
+
+    def test_every_kind_coerced(self, configs):
+        cfg = configs["every"]
+        assert cfg.label_threshold == 3.0 and type(cfg.label_threshold) is float
+        assert cfg.metrics == ("recall", "ndcg", "mrr", "7")
+        assert cfg.topk == (5, 10) and cfg.split_ratios == (0.7, 0.2, 0.1)
+        assert cfg.mask_train is False and cfg.eval_batch_size == 64
+        assert cfg.train.learning_rate == 0.01 and type(cfg.train.l2) is float
+        assert cfg.model_params == {"itemknn": {"k": 7, "shrink": 2.0},
+                                    "ease": {"l2": 55.0},
+                                    "fm": {"fields": ["user_id", "item_id"]}}
+        trial = configs["trial"]
+        assert (trial.seed, trial.train.seed, trial.topk) == (5, 5, (3,))
+        assert trial.out_dir == "runs/pin/trial_0002"
+
+    @pytest.mark.parametrize("key, value", [
+        ("mask_train", 1), ("eval_batch_size", 2.5), ("label_threshold", "x"),
+        ("valid_metric", 3), ("topk", [2.5]), ("split_ratios", ["x", 1, 1]),
+        ("metrics", "recall"), ("train.epochs", True), ("train.loss", 1),
+        ("itemknn.k", 1.0), ("fm.fields", "user_id"),
+    ])
+    def test_wrong_type_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(None, [("inter_path", "d"), (key, value)])
