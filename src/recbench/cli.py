@@ -6,6 +6,7 @@ Subcommands::
     run      --config cfg.yaml [--set key=value ...] [--eval-setting S] [--seed N]
     resume   --checkpoint model_last.ckpt [--config cfg.yaml] [--force]
     tune     --config cfg.yaml --space ranges.txt --method grid|random [--trials N]
+             [--seed N] [--parallel]
     bench    --users N --items M --k K --repeats R [--seed N]
 
 Exit code 0 on success; failures print one ``error: ...`` line on stderr
@@ -168,8 +169,10 @@ def build_parser():
     p.add_argument("--method", choices=["grid", "random"], default="grid")
     p.add_argument("--trials", type=int, default=10,
                    help="random search: number of draws")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random search: seed of the draws (default: the config's seed)")
+    p.add_argument("--parallel", action="store_true",
+                   help="run trials in a thread pool; changes only the wall time")
     p.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser("bench", help="time the evaluation pipelines")

@@ -26,6 +26,17 @@ from ..batch import Batch
 from ..errors import ModelError
 
 
+def _add_rows(E, rows, V):
+    """``E[rows[k]] += V[k]`` for each k in order, like ``np.add.at(E, rows, V)``.
+
+    The scatter runs over ``E``'s flat buffer, where numpy's 1-D fast path
+    applies; each element receives the same additions in the same order,
+    so the result is bitwise the same.  ``E`` must be C-contiguous.
+    """
+    d = E.shape[1]
+    np.add.at(E.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), V.ravel())
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05

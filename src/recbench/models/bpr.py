@@ -14,19 +14,8 @@ import numpy as np
 from ..batch import Batch
 from ..errors import ModelError
 from ..protocol import in_sorted, user_index
-from .base import Model
+from .base import Model, _add_rows
 from .losses import PAIRWISE_LOSSES
-
-
-def _add_rows(E, rows, V):
-    """``E[rows[k]] += V[k]`` for each k in order, like ``np.add.at(E, rows, V)``.
-
-    The scatter runs over ``E``'s flat buffer, where numpy's 1-D fast path
-    applies; each element receives the same additions in the same order,
-    so the result is bitwise the same.  ``E`` must be C-contiguous.
-    """
-    d = E.shape[1]
-    np.add.at(E.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), V.ravel())
 
 
 class BPRModel(Model):

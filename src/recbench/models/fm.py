@@ -22,7 +22,7 @@ import numpy as np
 from ..batch import Batch
 from ..errors import ModelError
 from ..tables import FieldType
-from .base import Model
+from .base import Model, _add_rows
 from .losses import logistic_loss, logistic_loss_grad
 
 
@@ -227,7 +227,7 @@ class FMModel(Model):
         lr = self.cfg.learning_rate
         self.w0 -= lr * g_w0
         np.add.at(self.w, idx, -lr * g_w_rows)
-        np.add.at(self.v, idx, -lr * g_v_rows)
+        _add_rows(self.v, idx.ravel(), -lr * g_v_rows.reshape(-1, self.v.shape[1]))
         return float(total_loss) / len(idx)
 
     def loss_and_grads(self, batch):
@@ -236,7 +236,7 @@ class FMModel(Model):
         g_w = np.zeros_like(self.w)
         g_v = np.zeros_like(self.v)
         np.add.at(g_w, idx, g_w_rows)
-        np.add.at(g_v, idx, g_v_rows)
+        _add_rows(g_v, idx.ravel(), g_v_rows.reshape(-1, g_v.shape[1]))
         return float(total_loss), {"bias": np.array([g_w0]),
                                    "linear_weights": g_w,
                                    "factor_matrix": g_v}
@@ -251,4 +251,4 @@ class FMModel(Model):
     def load_state_arrays(self, arrays):
         self.w0 = float(arrays["bias"][0])
         self.w = arrays["linear_weights"].astype(np.float64)
-        self.v = arrays["factor_matrix"].astype(np.float64)
+        self.v = arrays["factor_matrix"].astype(np.float64, order="C")

@@ -1,16 +1,19 @@
 """Hyperparameter search over independent experiment trials.
 
 A search space is a per-parameter list of candidate values, read from a
-range file of lines ``name=[v1,v2,...]``.  Grid search runs the whole
-Cartesian product; random search draws seeded assignments uniformly and
-without repetition.  Trials are ranked by their best validation score
-(direction-aware), ties keeping trial order.
+range file of lines ``name=[v1,v2,...]`` whose lists parse like a
+``--set`` value.  Grid search runs the whole Cartesian product; random
+search draws seeded assignments uniformly and without repetition.  Every
+value in the space is checked against the config before the first trial
+runs.  Trials are ranked by their validation score (direction-aware),
+ties keeping trial order.
 
-Sequential execution (the default) runs every trial at the experiment
-seed, so a single-point space reproduces ``run_experiment`` exactly.
-With ``parallel=True`` trials run in a thread pool with per-trial seeds
-derived from (seed, trial index), making results independent of
-completion order.
+A trial is exactly ``run_experiment`` of its config: the base config,
+plus its assignment, plus its own ``out_dir`` (``trial_NNNN``).  So a
+single-point space reproduces a run of the base config, and a space that
+lists ``seed`` or ``train.seed`` runs each trial at its searched seed.
+``parallel=True`` runs the trials in a thread pool instead of one after
+another; it changes only the wall time, not the results.
 
 Other samplers (Bayesian and friends) can slot in behind the same
 ``TrialResult`` contract: produce assignments, run them through
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .config import Config, config_pairs, load_config
+from .config import Config, config_pairs, load_config, parse_override
 from .errors import ConfigError
 from .metrics import metric_direction
 from .runner import run_experiment
@@ -81,14 +83,10 @@ def parse_range_file(path) -> SearchSpace:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        name, eq, raw = text.partition("=")
-        name = name.strip()
-        if not eq or not name:
-            raise ConfigError(f"{path}:{lineno}: expected name=[v1,v2,...]")
         try:
-            values = yaml.safe_load(raw.strip())
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}:{lineno}: cannot parse values ({exc})") from None
+            name, values = parse_override(text)
+        except ConfigError:
+            raise ConfigError(f"{path}:{lineno}: expected name=[v1,v2,...]") from None
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}:{lineno}: expected a nonempty [v1,v2,...] list")
         if name in params:
@@ -109,41 +107,32 @@ class TrialResult:
     out_dir: str = ""
 
 
-def _apply_assignment(cfg: Config, assignment, trial_index, seed) -> Config:
-    # the trial seed goes first, so a searched seed or train.seed wins
-    overrides = [("seed", seed), ("train.seed", seed)]
-    overrides.extend(assignment.items())
+def _apply_assignment(cfg: Config, assignment, trial_index) -> Config:
+    overrides = list(assignment.items())
     overrides.append(("out_dir", str(Path(cfg.out_dir) / f"trial_{trial_index:04d}")))
     return load_config(None, config_pairs(cfg.to_dict()) + overrides)
 
 
-def _trial_seed(seed, index, parallel):
-    if not parallel:
-        return int(seed)
-    return int(np.random.SeedSequence([int(seed), index]).generate_state(1)[0])
-
-
-def _run_trial(cfg, assignment, index, seed):
+def _run_trial(cfg, assignment, index):
     start = time.perf_counter()
-    trial_cfg = _apply_assignment(cfg, assignment, index, seed)
+    trial_cfg = _apply_assignment(cfg, assignment, index)
     result = run_experiment(trial_cfg)
-    best_valid = (max(result.valid_scores) if metric_direction(cfg.valid_metric) > 0
-                  else min(result.valid_scores)) if result.valid_scores else float("nan")
+    # the score of the epoch whose checkpoint the test stage evaluated
+    valid_score = (result.valid_scores[result.best_epoch - 1]
+                   if result.valid_scores else float("nan"))
     return TrialResult(assignment=dict(assignment), seed=trial_cfg.seed,
-                       valid_score=best_valid,
+                       valid_score=valid_score,
                        test_metrics=dict(result.report.values),
                        wall_time=time.perf_counter() - start,
                        out_dir=str(trial_cfg.out_dir))
 
 
 def _execute(cfg, assignments, parallel):
-    seeds = [_trial_seed(cfg.seed, i, parallel) for i in range(len(assignments))]
     if not parallel:
-        return [_run_trial(cfg, a, i, s)
-                for i, (a, s) in enumerate(zip(assignments, seeds))]
+        return [_run_trial(cfg, a, i) for i, a in enumerate(assignments)]
     with ThreadPoolExecutor() as pool:
-        futures = [pool.submit(_run_trial, cfg, a, i, s)
-                   for i, (a, s) in enumerate(zip(assignments, seeds))]
+        futures = [pool.submit(_run_trial, cfg, a, i)
+                   for i, a in enumerate(assignments)]
         return [f.result() for f in futures]
 
 
@@ -192,10 +181,11 @@ def random_search(cfg: Config, space: SearchSpace, n_trials, seed=None,
 
 
 def _check_space(cfg, space):
-    """Reject parameters that the config would not accept."""
+    """Reject any value in the space that the config would not accept."""
     pairs = config_pairs(cfg.to_dict())
     for name, values in space.params.items():
-        load_config(None, pairs + [(name, values[0])])
+        for value in values:
+            load_config(None, pairs + [(name, value)])
 
 
 def search_summary(trials) -> dict:

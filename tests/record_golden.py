@@ -1,5 +1,9 @@
 """Golden digests of whole runs: record them, or recompute them for a test.
 
+The scenarios: all five models under every setting in ``SETTINGS``, an FM
+run with value metrics, a BPR run stopped after epoch 1 and resumed, and
+one ``recbench.evaluate`` report of that FM run's best checkpoint.
+
 The input is generated in pure Python (``random.Random``), so it does not
 depend on the numpy version; the results do, through float sums and
 BLAS, so the recorded file names the numpy, scipy and BLAS it was made
@@ -10,6 +14,9 @@ folder.
 Re-record after a deliberate change to results::
 
     PYTHONPATH=src python tests/record_golden.py
+
+The recorder prints every digest that changed, appeared or disappeared
+before it overwrites the file.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from pathlib import Path
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 MODELS = ("popularity", "itemknn", "bpr", "ease", "fm")
-SETTINGS = ("RO_RS,full", "TO_LS,uni20")
+SETTINGS = ("RO_RS,full", "TO_LS,uni20", "RO_LS,uni5")
 FILES = ("report.txt", "report.json", "model_best.ckpt", "model_last.ckpt")
+VALUE_METRICS = ("recall", "ndcg", "rmse", "mae")
 
 
 def write_input(path, n_users=300, n_items=400, seed=17):
@@ -40,13 +48,33 @@ def write_input(path, n_users=300, n_items=400, seed=17):
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _overrides(model, setting, out_dir):
+def _overrides(model, setting, out_dir, metrics="[recall, ndcg, mrr]"):
     return ["inter_path=golden.inter", f"model={model}",
             f"eval_setting={setting}", "label_source=rating",
-            "label_threshold=4", "metrics=[recall, ndcg, mrr]", "topk=[5, 10]",
+            "label_threshold=4", f"metrics={metrics}", "topk=[5, 10]",
             "valid_metric=ndcg@10", "train.epochs=3",
             "train.embedding_dim=16", "train.batch_size=512",
             "itemknn.k=20", "ease.l2=50", f"out_dir={out_dir}"]
+
+
+def _evaluate_checkpoint(checkpoint, setting, out_dir):
+    """Write ``recbench.evaluate``'s report of an FM checkpoint under ``setting``."""
+    import numpy as np
+
+    from recbench import evaluate, parse_eval_setting
+    from recbench.config import load_config
+    from recbench.models import build_model, load_state
+    from recbench.runner import load_dataset
+
+    cfg = load_config(None, _overrides("fm", setting, out_dir))
+    ds = load_dataset(cfg)
+    model = build_model("fm", ds, np.arange(len(ds.inter)), cfg.train)
+    model.load_state_arrays(load_state(checkpoint)[1])
+    report = evaluate(model, ds, parse_eval_setting(setting, seed=cfg.seed),
+                      list(VALUE_METRICS), ks=[5, 10])
+    Path(out_dir).mkdir(parents=True)
+    Path(out_dir, "report.txt").write_text(report.to_text(), encoding="utf-8")
+    Path(out_dir, "report.json").write_text(report.to_json(), encoding="utf-8")
 
 
 def run_scenarios():
@@ -55,19 +83,25 @@ def run_scenarios():
     from recbench.runner import resume_experiment, run_experiment
 
     write_input("golden.inter")
-    out_dirs = []
+    runs = {}
     for model in MODELS:
         for setting in SETTINGS:
             out_dir = f"runs/{model}-{setting.replace(',', '-')}"
-            run_experiment(load_config(None, _overrides(model, setting, out_dir)))
-            out_dirs.append(out_dir)
+            runs[out_dir] = _overrides(model, setting, out_dir)
+    out_dir = "runs/fm-values"
+    runs[out_dir] = _overrides("fm", SETTINGS[0], out_dir,
+                               metrics=f"[{', '.join(VALUE_METRICS)}]")
+    for overrides in runs.values():
+        run_experiment(load_config(None, overrides))
     out_dir = "runs/bpr-resumed"
     run_experiment(load_config(None, _overrides("bpr", SETTINGS[0], out_dir)),
                    stop_after_epoch=1)
     resume_experiment(f"{out_dir}/model_last.ckpt")
-    out_dirs.append(out_dir)
-    return {f"{d}/{name}": hashlib.sha256(Path(d, name).read_bytes()).hexdigest()
-            for d in out_dirs for name in FILES}
+    files = [f"{d}/{name}" for d in [*runs, out_dir] for name in FILES]
+    _evaluate_checkpoint("runs/fm-values/model_best.ckpt", "TO_LS,full",
+                         "runs/evaluate")
+    files += ["runs/evaluate/report.txt", "runs/evaluate/report.json"]
+    return {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files}
 
 
 def environment():
@@ -88,6 +122,17 @@ def main():
             files = run_scenarios()
         finally:
             os.chdir(cwd)
+    old = (json.loads(DIGESTS.read_text(encoding="utf-8"))
+           if DIGESTS.exists() else {"environment": None, "files": {}})
+    if old["environment"] != environment():
+        print(f"environment: {old['environment']} -> {environment()}")
+    for name in sorted(old["files"].keys() | files.keys()):
+        if name not in files:
+            print(f"disappeared: {name}")
+        elif name not in old["files"]:
+            print(f"appeared: {name}")
+        elif old["files"][name] != files[name]:
+            print(f"changed: {name}")
     DIGESTS.write_text(json.dumps({"environment": environment(), "files": files},
                                   indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")

@@ -10,6 +10,7 @@ import pytest
 
 from recbench.models import load_state
 from tests.conftest import planted_interactions, write_inter_file
+from tests.record_golden import write_input
 
 TOY = str(Path(__file__).parent / "data" / "toy.inter")
 
@@ -187,6 +188,32 @@ class TestTune:
         summary = json.loads((tmp_path / "tune" / "search.json").read_text())
         assert len(summary["trials"]) == 2
         assert "best_assignment" in summary
+
+    def test_parallel_writes_what_sequential_writes(self, tmp_path):
+        write_input(tmp_path / "g.inter", n_users=60, n_items=80)
+        space = tmp_path / "hyper.test"
+        space.write_text("train.learning_rate=[0.05, 0.2]\n"
+                         "train.embedding_dim=[4, 8]\n", encoding="utf-8")
+
+        def tune(name, *extra):
+            proc = run_cli("tune", "--set", f"inter_path={tmp_path / 'g.inter'}",
+                           "--set", "model=bpr", "--set", "train.epochs=2",
+                           "--set", "metrics=[recall, ndcg]",
+                           "--set", "topk=[5]", "--set", "valid_metric=ndcg@5",
+                           "--set", f"out_dir={tmp_path / name}",
+                           "--space", str(space), *extra)
+            assert proc.returncode == 0, proc.stderr
+            summary = json.loads((tmp_path / name / "search.json").read_text())
+            for trial in summary["trials"]:
+                del trial["wall_time"], trial["out_dir"]
+            return summary
+
+        assert tune("parallel", "--parallel") == tune("sequential")
+        for index in range(4):
+            trial = f"trial_{index:04d}"
+            for name in ("report.txt", "report.json"):
+                assert ((tmp_path / "parallel" / trial / name).read_bytes()
+                        == (tmp_path / "sequential" / trial / name).read_bytes())
 
     def test_negative_random_seed_is_one_error_line(self, tmp_path):
         space = tmp_path / "hyper.test"

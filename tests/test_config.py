@@ -164,7 +164,8 @@ class TestSchemaPin:
     def configs(self, tmp_path):
         every = load_config(_write_cfg(tmp_path, _EVERY_KIND))
         trial = _apply_assignment(
-            every, {"train.learning_rate": 0.1, "itemknn.k": 3, "topk": [3]}, 2, 5)
+            every, {"seed": 5, "train.seed": 5, "train.learning_rate": 0.1,
+                    "itemknn.k": 3, "topk": [3]}, 2)
         return {"default": load_config(None, ["inter_path=d.inter"]),
                 "every": every, "trial": trial}
 

@@ -1,8 +1,9 @@
 """Whole runs against recorded digests of their report and checkpoint bytes.
 
 The scenarios and the recorder live in ``tests/record_golden.py``: all five
-models under ``RO_RS,full`` and ``TO_LS,uni20``, plus a BPR run stopped
-after epoch 1 and resumed.
+models under ``RO_RS,full``, ``TO_LS,uni20`` and ``RO_LS,uni5``, an FM run
+with value metrics, a BPR run stopped after epoch 1 and resumed, and one
+``recbench.evaluate`` report.
 """
 
 import json

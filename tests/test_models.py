@@ -14,6 +14,7 @@ from recbench.models import (BPRModel, EASEModel, FMModel, ItemKNNModel,
                              PopularityModel, TrainConfig, bpr_loss,
                              bpr_loss_grad, build_model, load_state,
                              margin_loss, save_state)
+from recbench.models.base import _add_rows
 from recbench.models.itemitem import binary_interaction_matrix
 from recbench.protocol import build_candidates, make_split, parse_eval_setting
 from recbench.ranking import row_cells
@@ -685,6 +686,38 @@ class TestFM:
         batch = Batch({"user_id": ds.user_ids()[:5], "item_id": ds.item_ids()[:5]})
         preds = model.predict(batch)
         assert np.all((preds > 0) & (preds < 1))
+
+
+    def test_loaded_factor_matrix_is_trained_in_place(self, rng):
+        # the factor scatter writes through a flat view, so a loaded
+        # Fortran-ordered array must become a C-ordered one
+        ds = _fm_dataset(rng)
+        cfg = TrainConfig(embedding_dim=3, batch_size=64, seed=4)
+        trained = {}
+        for order in ("C", "F"):
+            model = FMModel(ds, all_rows(ds), cfg, rng=np.random.default_rng(4))
+            arrays = {k: np.array(v, order=order)
+                      for k, v in model.state_arrays().items()}
+            model.load_state_arrays(arrays)
+            run_epochs(model, np.random.default_rng(2), 1)
+            trained[order] = model.v
+        assert not np.array_equal(trained["C"], arrays["factor_matrix"])
+        np.testing.assert_array_equal(trained["F"], trained["C"])
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("index_shape", [(60,), (40, 3)])
+    def test_equals_add_at_bit_for_bit(self, index_shape):
+        # (60,) is BPR's row list; (40, 3) is FM's (batch, field) slot index
+        r = np.random.default_rng(5)
+        E = r.standard_normal((9, 4))
+        rows = r.integers(0, 9, size=index_shape)  # every row repeats
+        V = r.standard_normal(index_shape + (4,))
+        expected = E.copy()
+        np.add.at(expected, rows, V)
+        got = E.copy()
+        _add_rows(got, rows.ravel(), V.reshape(-1, 4))
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recbench.config import load_config
 from recbench.errors import ConfigError
+from recbench.models import load_state
 from recbench.runner import run_experiment
 from recbench.search import (SearchSpace, draw_assignments, grid_search,
                              parse_range_file, random_search, search_summary)
+from tests.record_golden import write_input
 
 TOY = str(Path(__file__).parent / "data" / "toy.inter")
 
@@ -54,6 +57,12 @@ class TestRangeFile:
         with pytest.raises(ConfigError, match="unknown config key"):
             grid_search(cfg, SearchSpace({"ease.alpha": [1.0]}))
 
+    def test_every_value_checked_before_the_first_trial(self, tmp_path):
+        cfg = _toy_cfg(tmp_path)
+        with pytest.raises(ConfigError, match=r"ease\.l2"):
+            grid_search(cfg, SearchSpace({"ease.l2": [1.0, "heavy"]}))
+        assert not list((tmp_path / "search").glob("trial_*"))
+
 
 class TestGridSearch:
     def test_grid_order_last_parameter_fastest(self):
@@ -90,6 +99,34 @@ class TestGridSearch:
         assert trials[0].test_metrics == direct.report.values
         assert trials[0].valid_score == pytest.approx(
             max(direct.valid_scores))
+
+    def test_single_point_grid_writes_what_run_experiment_writes(self, tmp_path):
+        # seed and train.seed differ, so a trial that rewrote either one
+        # would split, initialise or sample differently
+        write_input(tmp_path / "g.inter", n_users=60, n_items=80)
+        base = [f"inter_path={tmp_path / 'g.inter'}", "model=bpr",
+                "seed=3", "train.seed=11", "train.epochs=3",
+                "train.embedding_dim=8", "train.batch_size=128",
+                "metrics=[recall, ndcg]", "topk=[5]", "valid_metric=ndcg@5"]
+        direct = run_experiment(load_config(
+            None, base + [f"out_dir={tmp_path / 'direct'}"]))
+        cfg = load_config(None, base + [f"out_dir={tmp_path / 'search'}"])
+        (trial,) = grid_search(cfg, SearchSpace({"train.batch_size": [128]}))
+        out = Path(trial.out_dir)
+        assert out == tmp_path / "search" / "trial_0000"
+        for name in ("report.txt", "report.json"):
+            assert (out / name).read_bytes() == (direct.out_dir / name).read_bytes()
+        for name in ("model_best.ckpt", "model_last.ckpt"):
+            (m_trial, a_trial), (m_run, a_run) = (load_state(out / name),
+                                                  load_state(direct.out_dir / name))
+            assert sorted(a_trial) == sorted(a_run)
+            for key in a_run:
+                np.testing.assert_array_equal(a_trial[key], a_run[key])
+            for manifest in (m_trial, m_run):
+                del manifest["config"]["out_dir"]
+            assert m_trial == m_run
+        assert trial.seed == 3
+        assert trial.valid_score == direct.valid_scores[direct.best_epoch - 1]
 
     def test_summary_shape(self, tmp_path):
         cfg = _toy_cfg(tmp_path)
@@ -129,18 +166,22 @@ class TestRandomSearch:
             assert abs(count - expected) <= 4 * sigma, counts
 
     def test_parallel_trials_match_own_rerun(self, tmp_path):
+        # parallel trials run the same configs as sequential ones
         cfg = _toy_cfg(tmp_path)
         space = SearchSpace({"ease.l2": [1.0, 10.0]})
         a = grid_search(cfg, space, parallel=True)
-        b = grid_search(cfg, space, parallel=True)
-        assert [t.valid_score for t in a] == [t.valid_score for t in b]
-        assert all(t.seed != cfg.seed for t in a)  # derived per-trial seeds
+        b = grid_search(cfg, space)
+
+        def outcome(trials):
+            return [(t.assignment, t.seed, t.valid_score, t.test_metrics)
+                    for t in trials]
+
+        assert outcome(a) == outcome(b)
+        assert all(t.seed == cfg.seed for t in a)
 
 
 class TestSearchedSeed:
     def test_assignment_seed_reaches_each_trial(self, tmp_path):
-        from recbench.models import load_state
-
         cfg = _toy_cfg(tmp_path)
         trials = grid_search(cfg, SearchSpace({"seed": [1, 2, 3],
                                                "train.seed": [7]}))
