@@ -245,10 +245,15 @@ def validate_config(cfg: Config):
                           f"(available: {sorted(MODEL_REGISTRY)})")
     for spec in cfg.filters:
         parse_filter_spec(spec)
-    split_metric_key(cfg.valid_metric)
+    _, valid_k = split_metric_key(cfg.valid_metric)
     for key, seed in (("seed", cfg.seed), ("train.seed", cfg.train.seed)):
         if seed < 0:
             raise ConfigError(f"{key} must be non-negative, got {seed}")
+    for key, size in (("eval_batch_size", cfg.eval_batch_size),
+                      ("topk", min(cfg.topk, default=1)),
+                      ("valid_metric K", 1 if valid_k is None else valid_k)):
+        if size < 1:
+            raise ConfigError(f"{key} must be >= 1, got {size}")
     return cfg
 
 

@@ -110,6 +110,8 @@ class Evaluator:
         self.config_hash = config_hash
         self.user_field = user_field
         self.item_field = item_field
+        if self.batch_size < 1:
+            raise EvalError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mask_items is not None and self.candidates is not None:
             raise EvalError("mask_items applies to full ranking only; sampled "
                             "candidates already exclude the history")

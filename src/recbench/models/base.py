@@ -14,6 +14,10 @@ Every model yields its own epoch batches through ``epoch_batches(rng)``,
 so the trainer runs one loop for all of them: iterative models shuffle
 and batch their training pairs for many epochs, closed-form models yield
 their one whole-train batch for a single epoch.
+
+Iterative models derive from :class:`SGDModel`, which owns the epoch
+batching, the SGD step and the dense gradients; a subclass supplies only
+its batches (``_batch``) and its per-row gradients (``_row_grads``).
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ def _add_rows(E, rows, V):
 
     The scatter runs over ``E``'s flat buffer, where numpy's 1-D fast path
     applies; each element receives the same additions in the same order,
-    so the result is bitwise the same.  ``E`` must be C-contiguous.
+    so the result is bitwise the same.  ``E`` is 1-D (one value per row)
+    or 2-D and must be C-contiguous.
     """
-    d = E.shape[1]
+    d = E[0].size
     np.add.at(E.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), V.ravel())
 
 
@@ -118,3 +123,58 @@ class Model:
             return batch[self.ds.user_field], batch[self.ds.item_field]
         except KeyError as exc:
             raise ModelError(f"batch lacks the {exc.args[0]!r} column") from None
+
+
+class SGDModel(Model):
+    """An iterative model trained by seeded mini-batch SGD.
+
+    A subclass supplies ``_batch(sel, rng)``, the batch of the training
+    pairs at positions ``sel`` (it may draw negatives from ``rng``), and
+    ``_row_grads(batch)``: the batch objective, a SUM over rows so step
+    sizes do not shrink with the batch size, and, in update order,
+    ``(name, rows, grads)`` triples, ``grads[k]`` being the gradient of
+    row ``rows[k]`` of ``state_arrays()[name]``.  ``_state`` maps each
+    state array's name to the attribute that holds it; ``state_arrays()``
+    returns those live arrays, which the step updates in place, so
+    ``load_state_arrays`` stores C-contiguous copies.
+    """
+
+    iterative = True
+
+    def __init__(self, ds, train_rows, cfg, params=None, rng=None):
+        super().__init__(ds, train_rows, cfg, params, rng)
+        if len(self.train_rows) == 0:
+            raise ModelError("empty train split")
+        self._users = ds.user_ids()[self.train_rows]
+        self._items = ds.item_ids()[self.train_rows]
+
+    def epoch_batches(self, rng):
+        """One permutation of the training pairs, cut into ``batch_size`` slices."""
+        order = rng.permutation(len(self.train_rows))
+        bs = self.cfg.batch_size
+        for lo in range(0, len(order), bs):
+            yield self._batch(order[lo:lo + bs], rng)
+
+    def calculate_loss(self, batch):
+        """One SGD step; returns the per-row mean of the batch objective."""
+        total, triples = self._row_grads(batch)
+        arrays = self.state_arrays()
+        lr = self.cfg.learning_rate
+        for name, rows, grads in triples:
+            _add_rows(arrays[name], rows, -lr * grads)
+        return float(total) / len(batch)
+
+    def loss_and_grads(self, batch):
+        """Summed batch objective and its dense gradients, without updating."""
+        total, triples = self._row_grads(batch)
+        grads = {name: np.zeros_like(arr) for name, arr in self.state_arrays().items()}
+        for name, rows, row_grads in triples:
+            _add_rows(grads[name], rows, row_grads)
+        return float(total), grads
+
+    def state_arrays(self):
+        return {name: getattr(self, attr) for name, attr in self._state.items()}
+
+    def load_state_arrays(self, arrays):
+        for name, attr in self._state.items():
+            setattr(self, attr, arrays[name].astype(np.float64, order="C"))

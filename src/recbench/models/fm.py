@@ -5,108 +5,99 @@ user-profile and item-profile features: each token field contributes one
 slot per vocabulary entry (value 1.0 at the active ID), each float field
 a single slot carrying its value.  Per-row interaction context fields are
 not part of the map, so pair prediction and full-catalog scoring agree.
+Each side's slot indices and values are tabulated per entity once, at
+construction, so looking up a batch's slots is one row gather per side.
 
 The score is the classic second-order form
 
     y = w0 + sum_a w[a] x_a
            + 1/2 * sum_f [ (sum_a v[a,f] x_a)^2 - sum_a v[a,f]^2 x_a^2 ]
 
-trained with stable logistic loss on the binary label column by seeded
-mini-batch SGD; ``predict`` returns sigmoid(y).
+trained with stable logistic loss on the binary label column by the
+seeded mini-batch SGD of :class:`~.base.SGDModel`; ``predict`` returns
+sigmoid(y).
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
 from ..batch import Batch
 from ..errors import ModelError
 from ..tables import FieldType
-from .base import Model, _add_rows
+from .base import SGDModel
 from .losses import logistic_loss, logistic_loss_grad
 
 
-class _Slot:
-    """One feature field inside the flattened slot space."""
-
-    def __init__(self, name, kind, offset, source):
-        self.name = name
-        self.kind = kind          # "token" | "float"
-        self.offset = offset
-        self.source = source      # "user_id" | "item_id" | "user_feat" | "item_feat"
+# one feature field inside the flattened slot space: kind is "token" or
+# "float", source "user_id", "item_id", "user_feat" or "item_feat"
+_Slot = namedtuple("_Slot", "name kind offset source")
 
 
-def _feature_row_lookup(table, key_field, n_keys):
-    """Map entity ID -> row of its feature table (-1 when absent)."""
-    lookup = np.full(n_keys, -1, dtype=np.int64)
-    keys = table.columns[key_field]
-    lookup[keys] = np.arange(len(keys), dtype=np.int64)
-    return lookup
-
-
-class FMModel(Model):
+class FMModel(SGDModel):
     kind = "fm"
-    iterative = True
+    _state = {"bias": "w0", "linear_weights": "w", "factor_matrix": "v"}
 
     def __init__(self, ds, train_rows, cfg, params=None, rng=None):
         super().__init__(ds, train_rows, cfg, params, rng)
-        if len(self.train_rows) == 0:
-            raise ModelError("empty train split")
         self.label_field = self.hyper.get("label_field", "label")
         if not ds.inter.has_field(self.label_field):
             raise ModelError(f"missing label column {self.label_field!r}; "
                              "derive one with set_label_by_threshold")
         self._build_feature_map(self.hyper.get("fields"))
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        self.w0 = 0.0
+        self.w0 = np.zeros(1)
         self.w = np.zeros(self.n_slots)
         self.v = rng.normal(0.0, 0.01, size=(self.n_slots, cfg.embedding_dim))
-        self._train_users = ds.user_ids()[self.train_rows]
-        self._train_items = ds.item_ids()[self.train_rows]
-        self._train_labels = ds.inter.columns[self.label_field][self.train_rows]
+        self._labels = ds.inter.columns[self.label_field][self.train_rows]
 
     # -- feature map -------------------------------------------------------
 
-    def _side_fields(self, table, key_field, wanted):
-        fields = []
-        if table is None:
-            return fields
-        for spec in table.fields:
-            if spec.name == key_field or spec.ftype.is_seq:
-                continue
-            if wanted is not None and spec.name not in wanted:
-                continue
-            fields.append(spec)
-        return fields
-
     def _build_feature_map(self, wanted):
+        """Lay out the slot space and build each side's slot tables once.
+
+        ``self._tables[side]`` holds, for every entity of that side, the
+        int64 indices and float64 values of the side's slots, in
+        ``self.slots`` order; ``self._side_cols[side]`` names those slots'
+        positions in ``self.slots``.  An entity with no feature row gets
+        the padding token and 0.0; a missing float becomes 0.0.
+        """
         ds = self.ds
         wanted = set(wanted) if wanted is not None else None
-        self.slots = []
-        offset = 0
-
-        def push(name, kind, width, source):
-            nonlocal offset
-            self.slots.append(_Slot(name, kind, offset, source))
-            offset += width
-
-        push(ds.user_field, "token", self.n_users, "user_id")
-        push(ds.item_field, "token", self.n_items, "item_id")
-        for source, table, key, size in (("user_feat", ds.user_feat, ds.user_field, self.n_users),
-                                         ("item_feat", ds.item_feat, ds.item_field, self.n_items)):
-            for spec in self._side_fields(table, key, wanted):
+        sides = (("user", ds.user_field, ds.user_feat, self.n_users),
+                 ("item", ds.item_field, ds.item_feat, self.n_items))
+        self.slots = [_Slot(ds.user_field, "token", 0, "user_id"),
+                      _Slot(ds.item_field, "token", self.n_users, "item_id")]
+        offset = self.n_users + self.n_items
+        self._side_cols, self._tables = {}, {}
+        for col, (side, key, table, n) in enumerate(sides):
+            cols, idx, val = [col], [self.slots[col].offset + np.arange(n)], [np.ones(n)]
+            rows = np.full(n, -1, dtype=np.int64)  # entity -> its feature row
+            specs = ()
+            if table is not None:
+                rows[table.columns[key]] = np.arange(table.row_count, dtype=np.int64)
+                specs = table.fields
+            present, safe = rows >= 0, np.maximum(rows, 0)
+            for spec in specs:
+                if (spec.name == key or spec.ftype.is_seq  # sequences take no slot
+                        or (wanted is not None and spec.name not in wanted)):
+                    continue
+                cols.append(len(self.slots))
+                self.slots.append(_Slot(spec.name, spec.ftype.value, offset, f"{side}_feat"))
+                column = np.where(present, table.columns[spec.name][safe], 0)
                 if spec.ftype == FieldType.TOKEN:
-                    push(spec.name, "token", ds.vocabs[spec.name].size, source)
-                elif spec.ftype == FieldType.FLOAT:
-                    push(spec.name, "float", 1, source)
+                    idx.append(offset + column)
+                    val.append(np.ones(n))
+                    offset += ds.vocabs[spec.name].size
+                else:
+                    idx.append(np.full(n, offset, dtype=np.int64))
+                    val.append(np.nan_to_num(column, nan=0.0))
+                    offset += 1
+            self._side_cols[side] = cols
+            self._tables[side] = (np.column_stack(idx), np.column_stack(val))
         self.n_slots = offset
-        self._side_cols = {side: [c for c, slot in enumerate(self.slots)
-                                  if slot.source.startswith(side)]
-                           for side in ("user", "item")}
-        self._user_rows = (_feature_row_lookup(ds.user_feat, ds.user_field, self.n_users)
-                           if ds.user_feat is not None else None)
-        self._item_rows = (_feature_row_lookup(ds.item_feat, ds.item_field, self.n_items)
-                           if ds.item_feat is not None else None)
 
     def active_slots(self, users, items):
         """(indices, values) matrices of shape (B, fields) for given pairs.
@@ -147,62 +138,33 @@ class FMModel(Model):
     def full_sort_predict(self, users):
         from scipy.special import expit
 
-        users = np.asarray(users, dtype=np.int64)
-        all_items = np.arange(self.n_items, dtype=np.int64)
-        u_idx, u_val = self._side_half(users, "user")
-        i_idx, i_val = self._side_half(all_items, "item")
-        lin_u = (self.w[u_idx] * u_val).sum(axis=1)
-        lin_i = (self.w[i_idx] * i_val).sum(axis=1)
-        vu = self.v[u_idx] * u_val[:, :, None]
-        vi = self.v[i_idx] * i_val[:, :, None]
-        su, si = vu.sum(axis=1), vi.sum(axis=1)
-        qu, qi = (vu ** 2).sum(axis=1).sum(axis=1), (vi ** 2).sum(axis=1).sum(axis=1)
+        lin_u, su, qu = self._half_terms(
+            *self._side_half(np.asarray(users, dtype=np.int64), "user"))
+        lin_i, si, qi = self._half_terms(*self._tables["item"])
         cross = su @ si.T
         pair = 0.5 * ((su ** 2).sum(axis=1)[:, None] + 2.0 * cross
                       + (si ** 2).sum(axis=1)[None, :] - qu[:, None] - qi[None, :])
         return expit(self.w0 + lin_u[:, None] + lin_i[None, :] + pair)
 
+    def _half_terms(self, idx, val):
+        """Linear term, factor sum and squared-factor sum of one side's slots."""
+        vx = self.v[idx] * val[:, :, None]
+        return (self.w[idx] * val).sum(axis=1), vx.sum(axis=1), (vx ** 2).sum(axis=1).sum(axis=1)
+
     def _side_half(self, entities, side):
         """(indices, values) of one side's slots, in ``self.slots`` order."""
-        cols = [self.slots[c] for c in self._side_cols[side]]
-        idx = np.empty((len(entities), len(cols)), dtype=np.int64)
-        val = np.ones((len(entities), len(cols)), dtype=np.float64)
-        for col, slot in enumerate(cols):
-            if slot.source == f"{side}_id":
-                idx[:, col] = slot.offset + entities
-                continue
-            rows = (self._user_rows if side == "user" else self._item_rows)[entities]
-            table = self.ds.user_feat if side == "user" else self.ds.item_feat
-            column = table.columns[slot.name]
-            present = rows >= 0
-            safe = np.where(present, rows, 0)
-            if slot.kind == "token":
-                idx[:, col] = slot.offset + np.where(present, column[safe], 0)
-            else:
-                idx[:, col] = slot.offset
-                val[:, col] = np.nan_to_num(np.where(present, column[safe], 0.0), nan=0.0)
-        return idx, val
+        idx, val = self._tables[side]
+        return idx[entities], val[entities]
 
     # -- training ------------------------------------------------------------
 
-    def epoch_batches(self, rng):
-        order = rng.permutation(len(self.train_rows))
-        bs = self.cfg.batch_size
-        for lo in range(0, len(order), bs):
-            sel = order[lo:lo + bs]
-            yield Batch({
-                self.ds.user_field: self._train_users[sel],
-                self.ds.item_field: self._train_items[sel],
-                self.label_field: self._train_labels[sel],
-            })
+    def _batch(self, sel, rng):
+        return Batch({self.ds.user_field: self._users[sel],
+                      self.ds.item_field: self._items[sel],
+                      self.label_field: self._labels[sel]})
 
-    def _batch_grads(self, batch):
-        """Per-row gradients of the summed batch objective.
-
-        Like the pairwise models, the update accumulates per-example
-        gradients (sum, not mean), so step sizes are batch-size free;
-        ``calculate_loss`` reports the per-row mean.
-        """
+    def _row_grads(self, batch):
+        """Per-row gradients of the summed batch objective."""
         if self.label_field not in batch:
             raise ModelError(f"missing label column {self.label_field!r} in batch")
         users, items = self._pair_columns(batch)
@@ -212,7 +174,6 @@ class FMModel(Model):
         n = len(users)
         g_logit = logistic_loss_grad(logits, labels) * n  # mean -> per-row
         reg = 2.0 * self.cfg.l2
-        g_w0 = float(g_logit.sum())
         g_w_rows = g_logit[:, None] * val + reg * self.w[idx]
         g_v_rows = (g_logit[:, None, None]
                     * val[:, :, None] * (total[:, None, :] - vx)
@@ -220,35 +181,7 @@ class FMModel(Model):
         total_loss = (logistic_loss(logits, labels) * n
                       + self.cfg.l2
                       * ((self.w[idx] ** 2).sum() + (self.v[idx] ** 2).sum()))
-        return total_loss, idx, g_w0, g_w_rows, g_v_rows
-
-    def calculate_loss(self, batch):
-        total_loss, idx, g_w0, g_w_rows, g_v_rows = self._batch_grads(batch)
-        lr = self.cfg.learning_rate
-        self.w0 -= lr * g_w0
-        np.add.at(self.w, idx, -lr * g_w_rows)
-        _add_rows(self.v, idx.ravel(), -lr * g_v_rows.reshape(-1, self.v.shape[1]))
-        return float(total_loss) / len(idx)
-
-    def loss_and_grads(self, batch):
-        """Summed batch objective and its dense gradients, without updating."""
-        total_loss, idx, g_w0, g_w_rows, g_v_rows = self._batch_grads(batch)
-        g_w = np.zeros_like(self.w)
-        g_v = np.zeros_like(self.v)
-        np.add.at(g_w, idx, g_w_rows)
-        _add_rows(g_v, idx.ravel(), g_v_rows.reshape(-1, g_v.shape[1]))
-        return float(total_loss), {"bias": np.array([g_w0]),
-                                   "linear_weights": g_w,
-                                   "factor_matrix": g_v}
-
-    # -- state ---------------------------------------------------------------
-
-    def state_arrays(self):
-        return {"bias": np.array([self.w0]),
-                "linear_weights": self.w,
-                "factor_matrix": self.v}
-
-    def load_state_arrays(self, arrays):
-        self.w0 = float(arrays["bias"][0])
-        self.w = arrays["linear_weights"].astype(np.float64)
-        self.v = arrays["factor_matrix"].astype(np.float64, order="C")
+        rows = idx.ravel()
+        return total_loss, [("bias", np.zeros(1, dtype=np.int64), np.array([g_logit.sum()])),
+                            ("linear_weights", rows, g_w_rows.ravel()),
+                            ("factor_matrix", rows, g_v_rows.reshape(-1, self.v.shape[1]))]

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
-from .config import (Config, config_from_dict, load_config, parse_filter_spec,
-                     split_metric_key)
+from .config import (Config, config_from_dict, config_pairs, load_config,
+                     parse_filter_spec, split_metric_key)
 from .errors import CheckpointError, ConfigError, ModelError, RecbenchError
 from .evaluator import Evaluator, MetricReport
 from .metrics import metric_direction, metric_kind
@@ -355,8 +355,14 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
     return result
 
 
+def _check_stop_after(stop_after_epoch):
+    if stop_after_epoch is not None and stop_after_epoch < 1:
+        raise ConfigError(f"stop_after_epoch must be >= 1, got {stop_after_epoch}")
+
+
 def run_experiment(cfg: Config, stop_after_epoch=None, echo=False) -> RunResult:
     """Execute the full flow; see the module docstring."""
+    _check_stop_after(stop_after_epoch)
     log = RunLog(Path(cfg.out_dir) / "run.log", echo=echo)
     return _train_and_report(cfg, log, stop_after_epoch)
 
@@ -367,13 +373,16 @@ def resume_experiment(checkpoint_path, config_path=None, overrides=(),
 
     The checkpoint carries the fully resolved config.  Passing a config
     file or overrides recomputes the hash; a mismatch is an error unless
-    ``force`` is set.  Resuming an already-finished run re-emits the
+    ``force`` is set.  Overrides without a config file apply on top of the
+    checkpoint's config.  Resuming an already-finished run re-emits the
     report without training.
     """
+    _check_stop_after(stop_after_epoch)
     manifest, arrays = load_state(checkpoint_path)
     stored_cfg = config_from_dict(manifest["config"])
     if config_path is not None or overrides:
-        cfg = load_config(config_path, overrides)
+        base = config_pairs(manifest["config"]) if config_path is None else []
+        cfg = load_config(config_path, [*base, *overrides])
         if cfg.hash != manifest["config_hash"]:
             if not force:
                 raise CheckpointError(

@@ -1,8 +1,9 @@
 """Golden digests of whole runs: record them, or recompute them for a test.
 
 The scenarios: all five models under every setting in ``SETTINGS``, an FM
-run with value metrics, a BPR run stopped after epoch 1 and resumed, and
-one ``recbench.evaluate`` report of that FM run's best checkpoint.
+run with value metrics, an FM run with user and item feature files, a BPR
+run stopped after epoch 1 and resumed, and one ``recbench.evaluate``
+report of the value-metric FM run's best checkpoint.
 
 The input is generated in pure Python (``random.Random``), so it does not
 depend on the numpy version; the results do, through float sums and
@@ -48,6 +49,33 @@ def write_input(path, n_users=300, n_items=400, seed=17):
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def write_features(path, key, n_entities, fields, seed):
+    """A seeded feature file for about 70% of the entities ``{key[0]}0..``.
+
+    ``fields`` maps a name to ``"token"``, ``"token_seq"`` or ``"float"``.
+    Some token cells are empty; some float cells are ``nan`` or empty
+    (both missing).
+    """
+    rand = random.Random(seed)
+    rows = [",".join([f"{key}:token", *(f"{n}:{t}" for n, t in fields.items())])]
+    for e in range(n_entities):
+        if rand.random() < 0.3:
+            continue  # this entity has no feature row
+        cells = [f"{key[0]}{e}"]
+        for name, ftype in fields.items():
+            r = rand.random()
+            if ftype == "token":
+                cells.append("" if r < 0.1 else f"{name[0]}{rand.randint(0, 5)}")
+            elif ftype == "token_seq":
+                cells.append(" ".join(f"{name[0]}{rand.randint(0, 5)}"
+                                      for _ in range(rand.randint(0, 3))))
+            else:
+                cells.append("nan" if r < 0.1 else "" if r < 0.15
+                             else repr(round(rand.uniform(-3, 3), 3)))
+        rows.append(",".join(cells))
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 def _overrides(model, setting, out_dir, metrics="[recall, ndcg, mrr]"):
     return ["inter_path=golden.inter", f"model={model}",
             f"eval_setting={setting}", "label_source=rating",
@@ -83,6 +111,11 @@ def run_scenarios():
     from recbench.runner import resume_experiment, run_experiment
 
     write_input("golden.inter")
+    write_features("golden.user", "user_id", 300,
+                   {"occupation": "token", "age": "float"}, seed=18)
+    write_features("golden.item", "item_id", 400,
+                   {"genre": "token", "tags": "token_seq", "price": "float",
+                    "year": "float"}, seed=19)
     runs = {}
     for model in MODELS:
         for setting in SETTINGS:
@@ -91,6 +124,9 @@ def run_scenarios():
     out_dir = "runs/fm-values"
     runs[out_dir] = _overrides("fm", SETTINGS[0], out_dir,
                                metrics=f"[{', '.join(VALUE_METRICS)}]")
+    out_dir = "runs/fm-features"
+    runs[out_dir] = [*_overrides("fm", SETTINGS[0], out_dir),
+                     "user_path=golden.user", "item_path=golden.item"]
     for overrides in runs.values():
         run_experiment(load_config(None, overrides))
     out_dir = "runs/bpr-resumed"

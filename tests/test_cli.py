@@ -142,6 +142,18 @@ class TestRun:
         assert len(lines) == 1, proc.stderr  # no numpy RuntimeWarning lines
         assert lines[0].startswith("error: training diverged")
 
+    @pytest.mark.parametrize("override, key", [
+        ("eval_batch_size=0", "eval_batch_size"),
+        ("eval_batch_size=-5", "eval_batch_size"),
+        ("topk=[0]", "topk"),
+        ("valid_metric=recall@0", "valid_metric"),
+    ])
+    def test_bad_eval_size_is_one_error_line_before_training(self, tmp_path,
+                                                             override, key):
+        proc = self._run_toy(tmp_path / "out", "--set", override)
+        _assert_one_error_line(proc, key)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_path_fails(self):
         proc = run_cli("run", "--set", "model=popularity", "--quiet")
         assert proc.returncode == 1
@@ -157,20 +169,51 @@ class TestRun:
 
 
 class TestResumeCli:
-    def test_interrupt_and_resume(self, tmp_path):
-        out = tmp_path / "r"
-        args = ["run", "--set", f"inter_path={TOY}", "--set", "model=bpr",
+    @staticmethod
+    def _run_args(out):
+        return ["run", "--set", f"inter_path={TOY}", "--set", "model=bpr",
                 "--set", "train.epochs=4", "--set", "train.batch_size=4",
                 "--set", "metrics=[recall]", "--set", "topk=[1]",
                 "--set", "valid_metric=recall@1",
                 "--set", f"out_dir={out}", "--quiet"]
-        proc = run_cli(*args, "--stop-after-epoch", "2")
+
+    def test_interrupt_and_resume(self, tmp_path):
+        out = tmp_path / "r"
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", "2")
         assert proc.returncode == 0, proc.stderr
         assert "resume" in proc.stdout
         proc = run_cli("resume", "--checkpoint", str(out / "model_last.ckpt"),
                        "--quiet")
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.txt").exists()
+
+    def test_set_alone_applies_on_top_of_the_checkpoint_config(self, tmp_path):
+        out = tmp_path / "r"
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", "2")
+        assert proc.returncode == 0, proc.stderr
+        resume = ["resume", "--checkpoint", str(out / "model_last.ckpt"),
+                  "--set", "train.epochs=6", "--quiet"]
+        _assert_one_error_line(run_cli(*resume), "hash mismatch")
+        proc = run_cli(*resume, "--force")
+        assert proc.returncode == 0, proc.stderr
+        manifest, _ = load_state(out / "model_last.ckpt")
+        assert manifest["epoch"] == 6
+        assert manifest["config"]["train"]["epochs"] == 6
+        assert manifest["config"]["model"] == "bpr"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_stop_after_epoch_below_one_is_one_error_line(self, tmp_path, value):
+        out = tmp_path / "r"
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", value)
+        _assert_one_error_line(proc, "stop_after_epoch")
+        assert not out.exists()
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", "1")
+        assert proc.returncode == 0, proc.stderr
+        log = (out / "run.log").read_text()
+        proc = run_cli("resume", "--checkpoint", str(out / "model_last.ckpt"),
+                       "--stop-after-epoch", value, "--quiet")
+        _assert_one_error_line(proc, "stop_after_epoch")
+        assert (out / "run.log").read_text() == log
 
 
 class TestTune:

@@ -280,6 +280,12 @@ class TestHandComputed:
         with pytest.raises(EvalError, match="catalog"):
             Evaluator(3, np.array([0]), [np.array([1])], ["recall"], [3])
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_below_one_is_rejected(self, batch_size):
+        with pytest.raises(EvalError, match="batch_size must be >= 1"):
+            Evaluator(5, np.array([0]), [np.array([1])], ["recall"], [1],
+                      batch_size=batch_size)
+
 
 class TestConvenienceEvaluate:
     def test_full_flow_with_plan(self, rng):

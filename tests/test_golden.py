@@ -2,8 +2,8 @@
 
 The scenarios and the recorder live in ``tests/record_golden.py``: all five
 models under ``RO_RS,full``, ``TO_LS,uni20`` and ``RO_LS,uni5``, an FM run
-with value metrics, a BPR run stopped after epoch 1 and resumed, and one
-``recbench.evaluate`` report.
+with value metrics, an FM run with user and item features, a BPR run
+stopped after epoch 1 and resumed, and one ``recbench.evaluate`` report.
 """
 
 import json

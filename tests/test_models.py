@@ -572,9 +572,11 @@ def _active_slots_reference(model, users, items):
             idx[:, col] = slot.offset + items
             continue
         if slot.source == "user_feat":
-            rows, table = model._user_rows[users], model.ds.user_feat
+            entities, table, key = users, model.ds.user_feat, model.ds.user_field
         else:
-            rows, table = model._item_rows[items], model.ds.item_feat
+            entities, table, key = items, model.ds.item_feat, model.ds.item_field
+        row_of = {int(e): r for r, e in enumerate(table.columns[key])}
+        rows = np.array([row_of.get(int(e), -1) for e in entities], dtype=np.int64)
         column = table.columns[slot.name]
         present = rows >= 0
         safe = np.where(present, rows, 0)
@@ -717,6 +719,18 @@ class TestAddRows:
         np.add.at(expected, rows, V)
         got = E.copy()
         _add_rows(got, rows.ravel(), V.reshape(-1, 4))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_one_dimensional_equals_add_at_bit_for_bit(self):
+        # FM's linear weights: one value per slot, a (batch, field) index
+        r = np.random.default_rng(6)
+        w = r.standard_normal(9)
+        idx = r.integers(0, 9, size=(40, 3))  # every row repeats
+        g = r.standard_normal((40, 3))
+        expected = w.copy()
+        np.add.at(expected, idx, g)
+        got = w.copy()
+        _add_rows(got, idx.ravel(), g.ravel())
         assert got.tobytes() == expected.tobytes()
 
 
