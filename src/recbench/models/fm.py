@@ -28,7 +28,7 @@ from ..batch import Batch
 from ..errors import ModelError
 from ..tables import FieldType
 from .base import SGDModel
-from .losses import logistic_loss, logistic_loss_grad
+from .losses import expit, logistic_loss, logistic_loss_grad
 
 
 # one feature field inside the flattened slot space: kind is "token" or
@@ -62,12 +62,23 @@ class FMModel(SGDModel):
         int64 indices and float64 values of the side's slots, in
         ``self.slots`` order; ``self._side_cols[side]`` names those slots'
         positions in ``self.slots``.  An entity with no feature row gets
-        the padding token and 0.0; a missing float becomes 0.0.
+        the padding token and 0.0; a missing float becomes 0.0.  A
+        ``wanted`` name that is neither an ID field nor a scalar feature
+        field of the ``.user`` or ``.item`` table is an error.
         """
         ds = self.ds
-        wanted = set(wanted) if wanted is not None else None
         sides = (("user", ds.user_field, ds.user_feat, self.n_users),
                  ("item", ds.item_field, ds.item_feat, self.n_items))
+        if wanted is not None:
+            wanted = set(wanted)
+            usable = [ds.user_field, ds.item_field] + [
+                spec.name for _, key, table, _ in sides if table is not None
+                for spec in table.fields if spec.name != key and not spec.ftype.is_seq]
+            unknown = sorted(wanted.difference(usable))
+            if unknown:
+                raise ModelError(f"fm.fields: {', '.join(map(repr, unknown))} not "
+                                 "found among the ID and scalar feature fields "
+                                 f"of the .user and .item tables: {', '.join(usable)}")
         self.slots = [_Slot(ds.user_field, "token", 0, "user_id"),
                       _Slot(ds.item_field, "token", self.n_users, "item_id")]
         offset = self.n_users + self.n_items
@@ -131,13 +142,9 @@ class FMModel(SGDModel):
         return self.score_logits_from_slots(*self.active_slots(users, items))
 
     def predict(self, batch):
-        from scipy.special import expit
-
         return expit(self.score_logits(batch))
 
     def full_sort_predict(self, users):
-        from scipy.special import expit
-
         lin_u, su, qu = self._half_terms(
             *self._side_half(np.asarray(users, dtype=np.int64), "user"))
         lin_i, si, qi = self._half_terms(*self._tables["item"])

@@ -54,14 +54,19 @@ class _Predicate:
 
 
 class RunLog:
-    """Append-only run log; timestamps stay out of the report files."""
+    """Append-only run log; timestamps stay out of the report files.
 
-    def __init__(self, path=None, echo=False):
+    A fresh run starts an empty file; ``append`` keeps what is there, so
+    a resumed run's lines follow the interrupted run's.
+    """
+
+    def __init__(self, path=None, echo=False, append=False):
         self.path = Path(path) if path else None
         self.echo = echo
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("", encoding="utf-8")
+            if not append:
+                self.path.write_text("", encoding="utf-8")
 
     def write(self, message):
         line = f"{time.strftime('%Y-%m-%d %H:%M:%S')} | {message}"
@@ -394,6 +399,6 @@ def resume_experiment(checkpoint_path, config_path=None, overrides=(),
                   file=sys.stderr)
     else:
         cfg = stored_cfg
-    log = RunLog(Path(cfg.out_dir) / "run.log", echo=echo)
+    log = RunLog(Path(cfg.out_dir) / "run.log", echo=echo, append=True)
     log.write(f"resuming from {checkpoint_path} at epoch {manifest['epoch']}")
     return _train_and_report(cfg, log, stop_after_epoch, (manifest, arrays))

@@ -10,7 +10,7 @@ import pytest
 
 from recbench.models import load_state
 from tests.conftest import planted_interactions, write_inter_file
-from tests.record_golden import write_input
+from tests.record_golden import write_features, write_input
 
 TOY = str(Path(__file__).parent / "data" / "toy.inter")
 
@@ -201,6 +201,25 @@ class TestResumeCli:
         assert manifest["config"]["train"]["epochs"] == 6
         assert manifest["config"]["model"] == "bpr"
 
+    def test_resume_appends_to_the_run_log(self, tmp_path):
+        out = tmp_path / "r"
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", "2")
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("resume", "--checkpoint", str(out / "model_last.ckpt"),
+                       "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        messages = [line.split(" | ", 1)[1]
+                    for line in (out / "run.log").read_text().splitlines()]
+        epochs = [m.split(":")[0] for m in messages if m.startswith("epoch ")]
+        assert epochs == ["epoch 1", "epoch 2", "epoch 3", "epoch 4"]
+        resumed = next(i for i, m in enumerate(messages)
+                       if m.startswith("resuming from"))
+        assert messages[resumed - 1].startswith("interrupted after epoch 2")
+        # a fresh run into the same directory starts an empty log
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "resuming" not in (out / "run.log").read_text()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_stop_after_epoch_below_one_is_one_error_line(self, tmp_path, value):
         out = tmp_path / "r"
@@ -268,6 +287,26 @@ class TestTune:
         _assert_one_error_line(proc, "non-negative")
 
 
+class TestFmFields:
+    @pytest.mark.parametrize("name", ["ocupation", "tags"])
+    def test_unknown_or_sequence_field_is_one_error_line(self, tmp_path, name):
+        write_input(tmp_path / "g.inter", n_users=40, n_items=50)
+        write_features(tmp_path / "g.user", "user_id", 40,
+                       {"occupation": "token", "tags": "token_seq", "age": "float"},
+                       seed=3)
+        out = tmp_path / "r"
+        proc = run_cli("run", "--set", f"inter_path={tmp_path / 'g.inter'}",
+                       "--set", f"user_path={tmp_path / 'g.user'}",
+                       "--set", "model=fm", "--set", "label_source=rating",
+                       "--set", "label_threshold=4",
+                       "--set", f"fm.fields=[{name}]",
+                       "--set", f"out_dir={out}", "--quiet")
+        _assert_one_error_line(
+            proc, f"'{name}' not found among the ID and scalar feature fields "
+                  "of the .user and .item tables: user_id, item_id, occupation, age")
+        assert not (out / "model_last.ckpt").exists()
+
+
 def _assert_one_error_line(proc, text):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
@@ -320,7 +359,8 @@ class TestLazyScipy:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         # popularity first, in a fresh process: scipy is still unloaded;
-        # BPR loads only scipy.special, ItemKNN's sparse matrix scipy.sparse
+        # BPR's few logistic values take no scipy either, ItemKNN's sparse
+        # matrix loads scipy.sparse
         assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "popularity": [0, False, False], "bpr": [0, True, False],
+            "popularity": [0, False, False], "bpr": [0, False, False],
             "itemknn": [0, True, True]}

@@ -14,6 +14,7 @@ from recbench.models import (BPRModel, EASEModel, FMModel, ItemKNNModel,
                              PopularityModel, TrainConfig, bpr_loss,
                              bpr_loss_grad, build_model, load_state,
                              margin_loss, save_state)
+from recbench.models import losses
 from recbench.models.base import _add_rows
 from recbench.models.itemitem import binary_interaction_matrix
 from recbench.protocol import build_candidates, make_split, parse_eval_setting
@@ -103,6 +104,61 @@ class TestBprLoss:
     def test_margin_loss_values(self):
         assert margin_loss(np.array([2.0]), np.array([0.0])) == 0.0
         assert margin_loss(np.array([0.0]), np.array([0.0])) == 1.0
+
+
+def _expit_edge_values():
+    """Zeros, infinities, NaN, the overflow and underflow edges of exp and
+    +-3 ulps around +-log(DBL_MAX)."""
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 710.0,
+              -710.0, -745.2, -746.0, 1e308, -1e308, 5e-324]
+    for edge in (losses._EXP_MAX, -losses._EXP_MAX):
+        below = edge
+        for _ in range(3):
+            below = np.nextafter(below, -np.inf)
+        values.append(below)
+        for _ in range(6):
+            values.append(np.nextafter(values[-1], np.inf))
+    return np.array(values)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64))
+
+
+class TestExpit:
+    def test_exact_route_matches_scipy_bit_for_bit(self):
+        from scipy.special import expit as scipy_expit
+
+        rng = np.random.default_rng(21)
+        edges = _expit_edge_values()
+        assert _same_bits(losses._exact_expit(edges), scipy_expit(edges))
+        for _ in range(10):  # 2M draws of each kind, in chunks
+            for x in (rng.uniform(-800.0, 800.0, 200_000),
+                      rng.normal(0.0, 1e-4, 200_000)):
+                assert _same_bits(losses._exact_expit(x), scipy_expit(x))
+
+    # (values counted by the math.exp route, scipy in use) after each call
+    # with a budget of 10: 4 + 6 values fit, the third call would pass it;
+    # a call larger than the whole budget goes straight to scipy
+    @pytest.mark.parametrize("shapes, routes", [
+        ([(4,), (2, 3), (4,), (3,), ()],
+         [(4, False), (10, False), (10, True), (10, True), (10, True)]),
+        ([(11,), (2,)], [(0, True), (0, True)]),
+    ])
+    def test_switch_to_scipy_keeps_the_bits(self, monkeypatch, shapes, routes):
+        from scipy.special import expit as scipy_expit
+
+        monkeypatch.setattr(losses, "_EXPIT_BUDGET", 10)
+        monkeypatch.setattr(losses, "_exact_values", 0)
+        monkeypatch.setattr(losses, "_scipy_expit", None)
+        rng = np.random.default_rng(5)
+        seen = []
+        for shape in shapes:
+            x = rng.normal(0.0, 40.0, shape)
+            assert _same_bits(losses.expit(x), scipy_expit(x))
+            seen.append((losses._exact_values, losses._scipy_expit is not None))
+        assert seen == routes
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +666,15 @@ class TestFM:
         ds = implicit_ds(rng)
         with pytest.raises(ModelError, match="label"):
             FMModel(ds, all_rows(ds), TrainConfig())
+
+    def test_fields_must_name_scalar_feature_fields(self, rng):
+        ds = _fm_dataset(rng)
+        model = FMModel(ds, all_rows(ds), TrainConfig(),
+                        {"fields": ["user_id", "genre"]})
+        assert [s.name for s in model.slots] == ["user_id", "item_id", "genre"]
+        with pytest.raises(ModelError, match=r"'age' not found .*: user_id, "
+                           r"item_id, age_band, activity, genre$"):
+            FMModel(ds, all_rows(ds), TrainConfig(), {"fields": ["genre", "age"]})
 
     def test_zero_factors_reduce_to_logistic_regression(self, rng):
         ds = _fm_dataset(rng)
