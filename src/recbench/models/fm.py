@@ -69,16 +69,7 @@ class FMModel(SGDModel):
         ds = self.ds
         sides = (("user", ds.user_field, ds.user_feat, self.n_users),
                  ("item", ds.item_field, ds.item_feat, self.n_items))
-        if wanted is not None:
-            wanted = set(wanted)
-            usable = [ds.user_field, ds.item_field] + [
-                spec.name for _, key, table, _ in sides if table is not None
-                for spec in table.fields if spec.name != key and not spec.ftype.is_seq]
-            unknown = sorted(wanted.difference(usable))
-            if unknown:
-                raise ModelError(f"fm.fields: {', '.join(map(repr, unknown))} not "
-                                 "found among the ID and scalar feature fields "
-                                 f"of the .user and .item tables: {', '.join(usable)}")
+        usable = [ds.user_field, ds.item_field]  # names fm.fields may give
         self.slots = [_Slot(ds.user_field, "token", 0, "user_id"),
                       _Slot(ds.item_field, "token", self.n_users, "item_id")]
         offset = self.n_users + self.n_items
@@ -92,8 +83,10 @@ class FMModel(SGDModel):
                 specs = table.fields
             present, safe = rows >= 0, np.maximum(rows, 0)
             for spec in specs:
-                if (spec.name == key or spec.ftype.is_seq  # sequences take no slot
-                        or (wanted is not None and spec.name not in wanted)):
+                if spec.name == key or spec.ftype.is_seq:  # sequences take no slot
+                    continue
+                usable.append(spec.name)
+                if wanted is not None and spec.name not in wanted:
                     continue
                 cols.append(len(self.slots))
                 self.slots.append(_Slot(spec.name, spec.ftype.value, offset, f"{side}_feat"))
@@ -108,6 +101,11 @@ class FMModel(SGDModel):
                     offset += 1
             self._side_cols[side] = cols
             self._tables[side] = (np.column_stack(idx), np.column_stack(val))
+        unknown = sorted(set(wanted or ()).difference(usable))
+        if unknown:
+            raise ModelError(f"fm.fields: {', '.join(map(repr, unknown))} not "
+                             "found among the ID and scalar feature fields "
+                             f"of the .user and .item tables: {', '.join(usable)}")
         self.n_slots = offset
 
     def active_slots(self, users, items):

@@ -7,7 +7,7 @@ exact gradients of those means with respect to the score arrays.
 :func:`expit`, the logistic function behind BPR's and FM's gradients and
 FM's predictions, gives the bits of scipy's ``expit`` without importing
 scipy until a process has computed enough values for the import to pay
-for itself.
+for itself, or asks for a whole scoring sweep in one call.
 """
 
 from __future__ import annotations
@@ -24,11 +24,17 @@ _EXP_MAX = 709.782712893384
 
 # Values the exact math.exp route may compute in one process before
 # expit switches to scipy's for good.  On a 2-core x86-64 VM, importing
-# scipy's special module after numpy takes 0.18-0.28 s, and the math.exp
-# route costs about 0.1 us per value more than scipy's (8-13 ms against
-# 0.6-1 ms per 93,560 values), so about 2M values cost as much as the
-# import: a run pays at most about twice the cheaper route.
+# scipy's special module after numpy takes 0.16-0.28 s, and the math.exp
+# route costs 60-90 ns per value more than scipy's, so about 2M values
+# cost as much as the import: a run that passes the budget pays the
+# import plus at most about as much again.
 _EXPIT_BUDGET = 2_000_000
+# A call larger than this goes to scipy at once.  Such calls are scoring
+# sweeps (FM's full_sort_predict scores eval_batch_size users x every
+# item per call), which repeat for every user batch and would spend the
+# budget in a few calls; and the exact route's temporary list of Python
+# floats stays about 2 MB.
+_EXACT_CALL_MAX = 1 << 16
 # Process-wide, like the import they stand for.  Threads that race on the
 # count can only move the switch, which changes no bits.
 _exact_values = 0    # values the math.exp route has computed so far
@@ -51,14 +57,16 @@ def _exact_expit(x):
 def expit(x):
     """The logistic function, bit-identical to scipy's ``expit``.
 
-    Computes through :func:`_exact_expit` until a call would take the
-    process past ``_EXPIT_BUDGET`` values, then imports scipy's and uses
-    it for that call and every later one.  Both routes give the same
-    bits, so where the switch falls moves only time.
+    Computes through :func:`_exact_expit` until a call is larger than
+    ``_EXACT_CALL_MAX`` or would take the process past ``_EXPIT_BUDGET``
+    values, then imports scipy's and uses it for that call and every later
+    one.  Both routes give the same bits, so where the switch falls moves
+    only time.
     """
     global _exact_values, _scipy_expit
     x = np.asarray(x, dtype=np.float64)
-    if _scipy_expit is None and _exact_values + x.size > _EXPIT_BUDGET:
+    if _scipy_expit is None and (x.size > _EXACT_CALL_MAX
+                                 or _exact_values + x.size > _EXPIT_BUDGET):
         from scipy.special import expit as _scipy_expit
     if _scipy_expit is not None:
         return _scipy_expit(x)

@@ -139,17 +139,20 @@ class TestExpit:
                 assert _same_bits(losses._exact_expit(x), scipy_expit(x))
 
     # (values counted by the math.exp route, scipy in use) after each call
-    # with a budget of 10: 4 + 6 values fit, the third call would pass it;
-    # a call larger than the whole budget goes straight to scipy
+    # with a budget of 10 and calls of at most 5: 4 + 4 values fit, the
+    # third call would pass the budget; a call larger than 5 goes straight
+    # to scipy, and so does one larger than the whole budget
     @pytest.mark.parametrize("shapes, routes", [
-        ([(4,), (2, 3), (4,), (3,), ()],
-         [(4, False), (10, False), (10, True), (10, True), (10, True)]),
+        ([(4,), (2, 2), (4,), (3,), ()],
+         [(4, False), (8, False), (8, True), (8, True), (8, True)]),
+        ([(3,), (2, 3), (2,)], [(3, False), (3, True), (3, True)]),
         ([(11,), (2,)], [(0, True), (0, True)]),
     ])
     def test_switch_to_scipy_keeps_the_bits(self, monkeypatch, shapes, routes):
         from scipy.special import expit as scipy_expit
 
         monkeypatch.setattr(losses, "_EXPIT_BUDGET", 10)
+        monkeypatch.setattr(losses, "_EXACT_CALL_MAX", 5)
         monkeypatch.setattr(losses, "_exact_values", 0)
         monkeypatch.setattr(losses, "_scipy_expit", None)
         rng = np.random.default_rng(5)
