@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import RecbenchError
-from .tables import FieldType, convert_csv, write_table
+from .tables import FieldType, TableKind, convert_csv, write_table
 
 
 def _parse_map(text):
@@ -134,7 +134,7 @@ def build_parser():
     p = sub.add_parser("convert", help="convert a delimited file into a table file")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", required=True,
-                   choices=["inter", "user", "item", "kg", "link", "net"])
+                   choices=[kind.value for kind in TableKind])
     p.add_argument("--map", required=True,
                    help="comma-separated src=dst:type assignments")
     p.add_argument("--out", required=True)

@@ -42,9 +42,6 @@ class Config:
     inter_path: str = ""
     user_path: str = ""
     item_path: str = ""
-    kg_path: str = ""
-    link_path: str = ""
-    net_path: str = ""
     separator: str = ","
     user_field: str = "user_id"
     item_field: str = "item_id"
@@ -233,6 +230,10 @@ def parse_filter_spec(text):
         except ValueError:
             raise ConfigError(f"filter {text!r}: value must be numeric") from None
         return ("value", m.group("field"), m.group("op"), value)
+    if text.count("(") > text.count(")"):
+        # a YAML flow list splits an unquoted inter_num(u,i) at its comma
+        raise ConfigError(f"cannot parse filter {text!r}: unclosed '('; quote "
+                          'each directive, as in filters=["inter_num(5,5)"]')
     raise ConfigError(f"cannot parse filter {text!r} "
                       "(expected field<op>value or inter_num(u,i))")
 

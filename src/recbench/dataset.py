@@ -1,8 +1,8 @@
 """Dataset assembly and preprocessing.
 
-A :class:`Dataset` bundles the interaction table with optional feature,
-graph, and social tables, validates them against each other, and carries
-the vocabularies produced by ID remapping.  Datasets are immutable: every
+A :class:`Dataset` bundles the interaction table with optional user and
+item feature tables, validates them against each other, and carries the
+vocabularies produced by ID remapping.  Datasets are immutable: every
 preprocessing function returns a new instance and shares the columns it
 did not touch.
 
@@ -63,17 +63,14 @@ class Dataset:
     inter: DataTable
     user_feat: DataTable | None = None
     item_feat: DataTable | None = None
-    kg: DataTable | None = None
-    link: DataTable | None = None
-    net: DataTable | None = None
     user_field: str = "user_id"
     item_field: str = "item_id"
     vocabs: dict = field(default_factory=dict)
     encoded: bool = False
 
     @classmethod
-    def build(cls, inter, user_feat=None, item_feat=None, kg=None, link=None,
-              net=None, user_field="user_id", item_field="item_id") -> "Dataset":
+    def build(cls, inter, user_feat=None, item_feat=None, user_field="user_id",
+              item_field="item_id") -> "Dataset":
         if inter.kind != TableKind.INTER:
             raise DataError(f"interaction table has kind {inter.kind.value!r}")
         for name in (user_field, item_field):
@@ -85,13 +82,12 @@ class Dataset:
             raise DataError(f"user table lacks the {user_field!r} field")
         if item_feat is not None and not item_feat.has_field(item_field):
             raise DataError(f"item table lacks the {item_field!r} field")
-        return cls(inter, user_feat, item_feat, kg, link, net, user_field, item_field)
+        return cls(inter, user_feat, item_feat, user_field, item_field)
 
     @property
     def tables(self):
         named = [("inter", self.inter), ("user_feat", self.user_feat),
-                 ("item_feat", self.item_feat), ("kg", self.kg),
-                 ("link", self.link), ("net", self.net)]
+                 ("item_feat", self.item_feat)]
         return [(name, t) for name, t in named if t is not None]
 
     @property
@@ -224,52 +220,6 @@ def filter_by_field_value(ds: Dataset, field_name, predicate) -> Dataset:
 # ID remapping
 
 
-def _token_occurrences(ds: Dataset):
-    """Ordered token sources per vocabulary, honoring cross-table sharing.
-
-    The user vocabulary unifies the interaction user column, the user
-    table, and both endpoint columns of the social graph; the item
-    vocabulary unifies interactions, the item table, and the item side of
-    the link table; kg head/tail share one entity vocabulary with the
-    entity side of the link table.  Every other token field gets a
-    vocabulary of its own, shared across tables by field name.
-    """
-    sources: dict[str, list] = {}
-    owner: dict[tuple, str] = {}
-
-    def add(vocab_key, table, field_name):
-        sources.setdefault(vocab_key, [])
-        sources[vocab_key].append(
-            _tokens_in(table.columns[field_name], table.field(field_name).ftype))
-        owner[(id(table), field_name)] = vocab_key
-
-    add(ds.user_field, ds.inter, ds.user_field)
-    add(ds.item_field, ds.inter, ds.item_field)
-    if ds.user_feat is not None:
-        add(ds.user_field, ds.user_feat, ds.user_field)
-    if ds.item_feat is not None:
-        add(ds.item_field, ds.item_feat, ds.item_field)
-    if ds.net is not None:
-        for pos in (0, 1):
-            add(ds.user_field, ds.net, ds.net.fields[pos].name)
-    if ds.link is not None:
-        add(ds.item_field, ds.link, ds.link.fields[0].name)
-    if ds.kg is not None:
-        add("__entity__", ds.kg, ds.kg.fields[0].name)
-        add("__entity__", ds.kg, ds.kg.fields[1].name)
-    if ds.link is not None:
-        add("__entity__", ds.link, ds.link.fields[1].name)
-    if ds.kg is not None:
-        add("__relation__", ds.kg, ds.kg.fields[2].name)
-
-    for _, table in ds.tables:
-        for spec in table.fields:
-            key = (id(table), spec.name)
-            if spec.ftype.is_token and key not in owner:
-                add(spec.name, table, spec.name)
-    return sources, owner
-
-
 def _tokens_in(column, ftype):
     """The column's tokens in order; a missing scalar token stays ``None``."""
     if ftype == FieldType.TOKEN:
@@ -280,24 +230,30 @@ def _tokens_in(column, ftype):
 def remap_ids(ds: Dataset) -> Dataset:
     """Encode every token field to contiguous IDs (first occurrence first).
 
-    Missing tokens encode to the padding ID 0.  Returns ``ds`` unchanged
-    if it is already encoded.
+    A token field's vocabulary is keyed by its name: every column of that
+    name, in any table, shares it, and its tokens are taken in table
+    order (``.inter``, then ``.user``, then ``.item``).  So an item that
+    only the item table holds still gets an ID.  Missing tokens encode to
+    the padding ID 0.  Returns ``ds`` unchanged if it is already encoded.
     """
     if ds.encoded:
         return ds
-    sources, owner = _token_occurrences(ds)
-    vocabs_by_key = {key: Vocabulary(key, chain.from_iterable(tokens))
-                     for key, tokens in sources.items()}
+    sources: dict[str, list] = {}
+    for _, table in ds.tables:
+        for spec in table.fields:
+            if spec.ftype.is_token:
+                sources.setdefault(spec.name, []).append(
+                    _tokens_in(table.columns[spec.name], spec.ftype))
+    vocabs = {name: Vocabulary(name, chain.from_iterable(tokens))
+              for name, tokens in sources.items()}
 
     new_tables = {}
-    vocabs: dict[str, Vocabulary] = {}
     for attr, table in ds.tables:
         cols = dict(table.columns)
         for spec in table.fields:
             if not spec.ftype.is_token:
                 continue
-            vocab = vocabs_by_key[owner[(id(table), spec.name)]]
-            vocabs[spec.name] = vocab
+            vocab = vocabs[spec.name]
             raw = table.columns[spec.name]
             if spec.ftype == FieldType.TOKEN:
                 encode = vocab.encode if None in raw else vocab.id_of.__getitem__

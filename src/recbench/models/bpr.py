@@ -32,7 +32,8 @@ class BPRModel(SGDModel):
         counts = np.diff(indptr)
         full = users[counts >= self.n_items - 1]
         if len(full):
-            raise ModelError(f"user {int(full[0])} interacted with every item; "
+            user = self.ds.vocabs[self.ds.user_field].decode(full[0])
+            raise ModelError(f"user {user!r} interacted with every item; "
                              "no training negative exists")
         self._seen_keys = np.repeat(users * self.n_items, counts) + items
         d = cfg.embedding_dim

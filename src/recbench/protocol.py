@@ -294,8 +294,8 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
         n_eligible = n_items - (hi - lo)
         if n_eligible < n_negatives:
             raise ProtocolError(
-                f"user {int(u)}: only {n_eligible} items are eligible as "
-                f"negatives, fewer than N={n_negatives}")
+                f"user {ds.vocabs[ds.user_field].decode(u)!r}: only {n_eligible} "
+                f"items are eligible as negatives, fewer than N={n_negatives}")
         idx = np.concatenate([rng.choice(n_eligible, size=n_negatives, replace=False)
                               for _ in p])
         # the idx-th eligible item skips each known item with below <= idx

@@ -33,13 +33,14 @@ import numpy as np
 from . import dataset as ds_mod
 from .config import (Config, config_from_dict, config_pairs, load_config,
                      parse_filter_spec, split_metric_key)
-from .errors import CheckpointError, ConfigError, ModelError, RecbenchError
+from .errors import (CheckpointError, ConfigError, DataError, ModelError,
+                     RecbenchError)
 from .evaluator import Evaluator, MetricReport
 from .metrics import metric_direction, metric_kind
 from .models import build_model, load_state, save_state
 from .protocol import (build_candidates, history_by_user, make_split,
                        parse_eval_setting)
-from .tables import TableKind, read_table
+from .tables import FieldType, TableKind, read_table
 
 _OPS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater,
         "<": np.less, "==": np.equal, "!=": np.not_equal}
@@ -83,10 +84,7 @@ def load_dataset(cfg: Config, log=None) -> ds_mod.Dataset:
     tables = {}
     for attr, key, kind in (("inter", "inter_path", TableKind.INTER),
                             ("user_feat", "user_path", TableKind.USER),
-                            ("item_feat", "item_path", TableKind.ITEM),
-                            ("kg", "kg_path", TableKind.KG),
-                            ("link", "link_path", TableKind.LINK),
-                            ("net", "net_path", TableKind.NET)):
+                            ("item_feat", "item_path", TableKind.ITEM)):
         path = getattr(cfg, key)
         if path:
             tables[attr] = read_table(path, kind, cfg.separator)
@@ -99,6 +97,11 @@ def load_dataset(cfg: Config, log=None) -> ds_mod.Dataset:
             ds = ds_mod.filter_by_inter_num(ds, parsed[1], parsed[2])
         else:
             _, fname, op, value = parsed
+            if (ds.inter.has_field(fname)
+                    and ds.inter.field(fname).ftype != FieldType.FLOAT):
+                raise DataError(f"filter {spec!r}: field {fname!r} is a "
+                                f"{ds.inter.field(fname).ftype.value} field; "
+                                "comparisons need a float field")
             ds = ds_mod.filter_by_field_value(ds, fname, _Predicate(op, value))
         log.write(f"filter {spec!r} -> {len(ds.inter)} rows")
     ds = ds_mod.remap_ids(ds)

@@ -1,6 +1,6 @@
 """Typed delimited table files.
 
-Every task input arrives as one of six suffix-identified text files:
+Every task input arrives as one of three suffix-identified text files:
 
 ========  =========================================================
 suffix    content
@@ -8,12 +8,9 @@ suffix    content
 .inter    user-item interaction rows (mandatory for every task)
 .user     user profile features, one row per user
 .item     item features, one row per item
-.kg       head/tail/relation triplets over a knowledge graph
-.link     item-to-entity correspondence pairs
-.net      user-user edges with an optional float weight
 ========  =========================================================
 
-All six share one layout: line 1 declares ``name:type`` for every field,
+All three share one layout: line 1 declares ``name:type`` for every field,
 each following line carries one record, fields separated by a single
 configurable character (comma by default), ``\\n`` line endings, UTF-8.
 Four field types exist: ``token`` (a discrete value kept verbatim as a
@@ -65,9 +62,6 @@ class TableKind(str, Enum):
     INTER = "inter"
     USER = "user"
     ITEM = "item"
-    KG = "kg"
-    LINK = "link"
-    NET = "net"
 
     @property
     def suffix(self):
@@ -198,32 +192,14 @@ def _columns_equal(a, b):
 
 
 def _validate_kind_shape(table: DataTable):
-    """Enforce the per-kind field-layout rules (positional for kg/link/net)."""
+    """Enforce the per-kind field-layout rules."""
     kind, fields = table.kind, table.fields
-    if kind == TableKind.KG:
-        if len(fields) != 3 or any(f.ftype != FieldType.TOKEN for f in fields):
-            raise TableFileError(
-                ".kg files must have exactly three token fields (head, tail, relation)")
-    elif kind == TableKind.LINK:
-        if len(fields) != 2 or any(f.ftype != FieldType.TOKEN for f in fields):
-            raise TableFileError(
-                ".link files must have exactly two token fields (item, entity)")
-    elif kind == TableKind.NET:
-        ok = (len(fields) in (2, 3)
-              and fields[0].ftype == FieldType.TOKEN
-              and fields[1].ftype == FieldType.TOKEN
-              and (len(fields) == 2 or fields[2].ftype == FieldType.FLOAT))
-        if not ok:
-            raise TableFileError(
-                ".net files must be (source token, target token[, weight float])")
-    elif kind == TableKind.INTER:
+    if kind == TableKind.INTER:
         if sum(f.ftype == FieldType.TOKEN for f in fields) < 2:
             raise TableFileError(
                 ".inter files need at least two token fields (user ID, item ID)")
-    elif kind in (TableKind.USER, TableKind.ITEM):
-        if not fields or fields[0].ftype != FieldType.TOKEN:
-            raise TableFileError(
-                f".{kind.value} files must start with a token ID field")
+    elif not fields or fields[0].ftype != FieldType.TOKEN:
+        raise TableFileError(f".{kind.value} files must start with a token ID field")
 
 
 def _check_separator(sep):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recbench.models import load_state
+from recbench.models import load_state, save_state
 from tests.conftest import planted_interactions, write_inter_file
 from tests.record_golden import write_features, write_input
 
@@ -154,6 +154,19 @@ class TestRun:
         _assert_one_error_line(proc, key)
         assert not (tmp_path / "out").exists()
 
+    def test_filter_on_a_token_field_is_one_error_line(self, tmp_path):
+        proc = self._run_toy(tmp_path / "out", "--set", 'filters=["user_id>=3"]')
+        _assert_one_error_line(proc, "filter 'user_id>=3': field 'user_id' is a "
+                                     "token field; comparisons need a float field")
+
+    def test_unquoted_inter_num_filter_says_to_quote_it(self, tmp_path):
+        # the YAML flow list splits inter_num(5,5) at its comma
+        proc = self._run_toy(tmp_path / "out", "--set", "filters=[inter_num(5,5)]")
+        _assert_one_error_line(proc, "cannot parse filter 'inter_num(5': unclosed "
+                                     "'('; quote each directive, as in "
+                                     'filters=["inter_num(5,5)"]')
+        assert not (tmp_path / "out").exists()
+
     def test_missing_path_fails(self):
         proc = run_cli("run", "--set", "model=popularity", "--quiet")
         assert proc.returncode == 1
@@ -219,6 +232,19 @@ class TestResumeCli:
         proc = run_cli(*self._run_args(out), "--stop-after-epoch", "1")
         assert proc.returncode == 0, proc.stderr
         assert "resuming" not in (out / "run.log").read_text()
+
+    def test_checkpoint_naming_a_removed_key_is_one_error_line(self, tmp_path):
+        # a checkpoint written while the config still had kg_path
+        out = tmp_path / "r"
+        proc = run_cli(*self._run_args(out), "--stop-after-epoch", "1")
+        assert proc.returncode == 0, proc.stderr
+        ckpt = out / "model_last.ckpt"
+        manifest, arrays = load_state(ckpt)
+        manifest["config"]["kg_path"] = ""
+        save_state(ckpt, manifest, arrays)
+        proc = run_cli("resume", "--checkpoint", str(ckpt), "--quiet")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: unknown config key 'kg_path'"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_stop_after_epoch_below_one_is_one_error_line(self, tmp_path, value):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from recbench.dataset import (Dataset, Interval, ValueSet, fill_nan,
-                              filter_by_field_value, filter_by_inter_num,
-                              normalize, remap_ids, set_label_by_threshold)
+from recbench.dataset import (PAD_TOKEN, Dataset, Interval, ValueSet,
+                              fill_nan, filter_by_field_value,
+                              filter_by_inter_num, normalize, remap_ids,
+                              set_label_by_threshold)
 from recbench.errors import DataError
 from recbench.tables import DataTable, FieldSpec, FieldType, TableKind
 from tests.conftest import build_dataset, dataset_digest, make_inter
@@ -165,43 +166,44 @@ class TestRemapIds:
         ds = remap_ids(Dataset.build(table))
         assert ds.inter.columns["tag"][0] == 0
 
-    def test_net_shares_user_vocabulary(self):
-        net = DataTable(TableKind.NET,
-                        [FieldSpec("source_id", FieldType.TOKEN),
-                         FieldSpec("target_id", FieldType.TOKEN)],
-                        {"source_id": ["a", "z"], "target_id": ["b", "a"]})
-        ds = remap_ids(Dataset.build(make_inter(["a", "b"], ["x", "y"]),
-                                     net=net))
-        assert ds.vocabs["source_id"] is ds.vocabs["user_id"]
-        np.testing.assert_array_equal(ds.net.columns["source_id"], [1, 3])
-
     def test_idempotent(self):
         ds = build_dataset(["a"], ["x"])
         assert remap_ids(ds) is ds
 
-    def test_kg_and_link_share_entity_vocabulary(self, tmp_path):
-        kg = DataTable(TableKind.KG,
-                       [FieldSpec("head_id", FieldType.TOKEN),
-                        FieldSpec("tail_id", FieldType.TOKEN),
-                        FieldSpec("relation_id", FieldType.TOKEN)],
-                       {"head_id": ["e1", "e2"], "tail_id": ["e3", "e1"],
-                        "relation_id": ["likes", "made_by"]})
-        link = DataTable(TableKind.LINK,
-                         [FieldSpec("item_id", FieldType.TOKEN),
-                          FieldSpec("entity_id", FieldType.TOKEN)],
-                         {"item_id": ["x", "y"], "entity_id": ["e1", "e9"]})
-        ds = remap_ids(Dataset.build(make_inter(["a", "b"], ["x", "y"]),
-                                     kg=kg, link=link))
-        # head/tail/link-entity columns draw from one shared vocabulary
-        assert ds.vocabs["head_id"] is ds.vocabs["tail_id"]
-        assert ds.vocabs["head_id"] is ds.vocabs["entity_id"]
-        head, tail = ds.kg.columns["head_id"], ds.kg.columns["tail_id"]
-        assert head[0] == ds.link.columns["entity_id"][0] == tail[1]
-        # the link item column reuses the item vocabulary
-        np.testing.assert_array_equal(ds.link.columns["item_id"],
-                                      ds.inter.columns["item_id"])
-        # relations have their own vocabulary
-        assert ds.vocabs["relation_id"] is not ds.vocabs["head_id"]
+    def test_one_vocabulary_per_field_name_in_table_order(self):
+        token = FieldType.TOKEN
+        inter = DataTable(
+            TableKind.INTER,
+            [FieldSpec("user_id", token), FieldSpec("item_id", token),
+             FieldSpec("genre", token)],
+            {"user_id": ["a", "b", "a"], "item_id": ["x", "y", "x"],
+             "genre": ["g3", None, "g1"]})
+        # a favourite-item column: z is in no other table
+        user_feat = DataTable(
+            TableKind.USER, [FieldSpec("user_id", token), FieldSpec("item_id", token)],
+            {"user_id": ["b", "c"], "item_id": ["z", "x"]})
+        # w is an item that only the item table holds
+        item_feat = DataTable(
+            TableKind.ITEM, [FieldSpec("item_id", token), FieldSpec("genre", token)],
+            {"item_id": ["y", "w", "x"], "genre": ["g1", "g2", "g3"]})
+        ds = remap_ids(Dataset.build(inter, user_feat=user_feat,
+                                     item_feat=item_feat))
+        tables = [inter, user_feat, item_feat]
+        # reference: each name's tokens concatenated in table order
+        for name in ("user_id", "item_id", "genre"):
+            tokens = [t for table in tables if table.has_field(name)
+                      for t in table.columns[name] if t is not None]
+            assert ds.vocabs[name].token_of == [PAD_TOKEN, *dict.fromkeys(tokens)]
+        for attr, raw in zip(("inter", "user_feat", "item_feat"), tables):
+            for name in raw.field_names:
+                vocab = ds.vocabs[name]
+                np.testing.assert_array_equal(
+                    getattr(ds, attr).columns[name],
+                    [vocab.encode(t) for t in raw.columns[name]])
+        # a .user column named like the item field counts before .item:
+        # z precedes w
+        assert ds.vocabs["item_id"].token_of == [PAD_TOKEN, "x", "y", "z", "w"]
+        assert ds.vocabs["genre"].token_of == [PAD_TOKEN, "g3", "g1", "g2"]
 
     def test_token_seq_encoding_round_trip(self):
         table = DataTable(TableKind.INTER,

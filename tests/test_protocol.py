@@ -349,7 +349,7 @@ class TestBuildCandidates:
         ds = build_dataset(["a", "a"], ["x", "y"])  # 2 items, both known
         plan = parse_eval_setting("RO_LS,uni99", seed=0)
         split = make_split(ds, plan)
-        with pytest.raises(ProtocolError, match="user 1"):
+        with pytest.raises(ProtocolError, match="^user 'a': only 0 items"):
             build_candidates(ds, split, "uni", seed=0, n_negatives=99)
 
     def test_deterministic_under_seed(self):
@@ -436,7 +436,8 @@ def _catalog_scan_candidates(ds, split, seed, n_negatives, target):
         known = np.unique(item_col[all_rows][user_col[all_rows] == u])
         eligible = catalog[~np.isin(catalog, known)]
         if len(eligible) < n_negatives:
-            return (f"user {int(u)}: only {len(eligible)} items are eligible "
+            return (f"user {ds.vocabs['user_id'].decode(u)!r}: only "
+                    f"{len(eligible)} items are eligible "
                     f"as negatives, fewer than N={n_negatives}")
         purpose = (protocol._RNG_NEGATIVES if target == "test"
                    else protocol._RNG_VALID_NEGATIVES)
@@ -510,3 +511,12 @@ class TestSamplerOracle:
         cand = build_candidates(ds, split, "uni", seed=4, n_negatives=3)
         assert len(cand.candidates[0]) == 4  # 1 positive + all 3 eligible
         self._assert_matches(ds, split, 4, 4)  # one too many: the error
+
+    def test_too_few_eligible_names_the_raw_user(self):
+        # raw user "7" has the internal ID 1: the error names the raw token
+        users = ["7"] * 7 + ["1", "2", "3"]
+        ds = build_dataset(users, [f"i{k}" for k in range(10)])
+        assert ds.vocabs["user_id"].encode("7") == 1
+        split = make_split(ds, parse_eval_setting("RO_LS,uni4", seed=4))
+        with pytest.raises(ProtocolError, match="^user '7': only 3 items are eligible"):
+            build_candidates(ds, split, "uni", seed=4, n_negatives=4)

@@ -129,9 +129,9 @@ class TestParsingErrors:
             read_table(path, TableKind.INTER)
 
     def test_kind_shape_validation(self, tmp_path):
-        path = _write(tmp_path, "head:token,tail:token\nh,t\n", name="bad.kg")
-        with pytest.raises(TableFileError, match="three token fields"):
-            read_table(path, TableKind.KG)
+        path = _write(tmp_path, "age:float,user_id:token\n31.0,u1\n", name="bad.user")
+        with pytest.raises(TableFileError, match="must start with a token ID field"):
+            read_table(path, TableKind.USER)
 
     def test_inter_needs_two_token_fields(self, tmp_path):
         path = _write(tmp_path, "user_id:token,rating:float\nu,1.0\n")
