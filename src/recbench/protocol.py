@@ -39,11 +39,20 @@ in one stable ``lexsort`` (TO), and cuts all segments in one vectorised
 pass.
 Positives, histories, the uniN known-item sets and BPR's training-negative
 sampler are read from it too.
-A uniN draw never scans the catalog: each positive draws N distinct
-indices into the user's eligible items with
-``rng.choice(n_eligible, N, replace=False)``, and each index is mapped to
-its item by a binary search over the user's sorted known items.  The
-draws are the ones ``rng.choice(eligible_items, N, replace=False)`` gives.
+A uniN draw never scans the catalog.  Each positive's N negatives are
+the ones ``rng.choice(eligible_items, N, replace=False)`` gives on the
+user's stream, but no per-user ``choice`` call makes them:
+:func:`floyd_choice` replays numpy's no-replacement route (Floyd's
+selection with Lemire-bounded draws, then a shuffle whose draws are read
+but not applied) for every user at once, from each user's raw words
+(:func:`choice_words` of them), in chunks of about ``_CHUNK_ROWS``
+positives.  One global binary search over the users' sorted known items
+maps each index to its item, and one stable sort merges each user's
+draws with its positives.  A user whose draws hit a Lemire rejection, or whose pool
+takes numpy's tail-shuffle route (more than 10,000 eligible items and
+N > n_eligible // 50), keeps the per-user ``rng.choice`` call.  Tests
+pin the pass against ``rng.choice`` (numpy 2.4.6), as ``TestUserStreams``
+pins the seeding.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ProtocolError
+from .tables import FieldType
 
 _SETTING_RE = re.compile(r"(RO|TO)_(RS|LS),(full|uni([1-9][0-9]*))\Z")
 
@@ -62,6 +72,10 @@ _SETTING_RE = re.compile(r"(RO|TO)_(RS|LS),(full|uni([1-9][0-9]*))\Z")
 _RNG_ORDER = 1
 _RNG_NEGATIVES = 2          # test candidates
 _RNG_VALID_NEGATIVES = 3    # valid candidates
+# (user, positive) rows per uniN sampling pass.  On a 3,000-user uni99 run
+# the pass's arrays lifted peak RSS by 3.4 MB at 1024 rows and by 0.7 MB
+# at 256; 128 rows lifted it by 0.4 MB but made the stage 8% slower
+_CHUNK_ROWS = 256
 
 
 # SeedSequence's hash-mixing constants (O'Neill's seed_seq, pool of 4 words)
@@ -209,6 +223,7 @@ class CandidateSet:
     candidates: list | None        # per user (uni only): positives U negatives
     n_items: int
     n_per_pos: int = 0             # uni only: negatives drawn per positive
+    per_user_draws: int = 0        # uni only: users drawn with rng.choice itself
 
     def describe(self):
         return self.mode if self.mode == "full" else f"uni{self.n_per_pos}"
@@ -249,6 +264,100 @@ def history_by_user(ds: Dataset, rows):
     return {int(u): items[indptr[i]:indptr[i + 1]].copy() for i, u in enumerate(users)}
 
 
+# Generator.choice(pool, n, replace=False) shuffles a whole arange, not
+# Floyd's set, on these pools
+def _tail_route(pools, n):
+    return (pools > 10000) & (n > pools // 50)
+
+
+def choice_words(pools, counts, n):
+    """Raw words that ``counts`` calls of ``rng.choice(pool, n, replace=False)`` read.
+
+    A call on Floyd's route reads 2n - 1 uint32 draws (2n - 2 when
+    ``pool == n``: the first step's bound is 0 and draws nothing), two to a
+    word, when no draw is rejected.  A pool on the tail route gets 0.
+    """
+    pools = np.asarray(pools, np.int64)
+    calls = np.asarray(counts, np.int64) * (2 * n - 1 - (pools == n))
+    return np.where(_tail_route(pools, n), 0, (calls + 1) // 2)
+
+
+def _rejected(low, excl):
+    """Rows of ``low = (u * excl) mod 2**32`` that hold a draw Lemire's method rejects."""
+    r, t = np.nonzero(low < excl)  # the threshold 2**32 mod excl is below excl
+    excl = np.broadcast_to(excl, low.shape)[r, t].astype(np.uint64)
+    return r[low[r, t] < (1 << 32) % excl]
+
+
+def floyd_choice(words, pools, counts, n):
+    """The sets ``counts[u]`` calls of ``rng.choice(pools[u], n, replace=False)`` draw.
+
+    ``words`` concatenates each user's ``random_raw(choice_words(...)[u])``;
+    every pool is at least n and below 2**32.  numpy (2.x) splits each word
+    into two uint32 draws, low half first, and a call runs Floyd's
+    selection and then a shuffle, each draw bounded by Lemire's method:
+
+    * step t (of n) draws v_t in [0, j_t], j_t = pool - n + t, and keeps
+      j_t instead when v_t is already in the set, that is when v_t equals
+      an earlier v_s, or an earlier j_s whose step kept j_s;
+    * the shuffle then draws n - 1 more values (bounds n - 1 .. 1), read
+      and checked here but not applied: the caller sorts the set.
+
+    A draw u with bound j is rejected, and another one read, when
+    ``(u * (j + 1)) mod 2**32 < 2**32 mod (j + 1)``.  Returns ``(sets, ok)``:
+    row r of the ``(sum(counts), n)`` int64 array is the r-th call's set,
+    users in order.  ``ok[u]`` is False when any of the user's draws is
+    rejected (every later draw shifts) or its pool takes the tail route;
+    those users' rows are meaningless, and they draw with ``rng.choice``.
+    """
+    pools = np.asarray(pools, np.int64)
+    counts = np.asarray(counts, np.int64)
+    n_words = choice_words(pools, counts, n)
+    row_user = np.repeat(np.arange(len(pools)), counts)
+    call = np.arange(len(row_user)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # each row's first draw in the uint32 stream; when pool == n it is one
+    # earlier, read by the bound-0 step, which ignores it
+    first = (2 * (np.cumsum(n_words) - n_words) - (pools == n))[row_user]
+    first += call * (2 * n - 1 - (pools == n))[row_user]
+    # one spare draw on each side keeps every row's window inside the array
+    u32 = np.concatenate([np.zeros(1, np.uint32),
+                          words.astype("<u8", copy=False).view("<u4"),
+                          np.zeros(2 * n - 2, np.uint32)])
+    windows = np.lib.stride_tricks.sliding_window_view(u32, 2 * n - 1)
+    draws = windows[np.minimum(first + 1, len(windows) - 1)]
+    start = pools[row_user, None] - n
+    # the shuffle's draws: uint32 products keep just the low half
+    excl = np.arange(n, 1, -1, dtype=np.uint32)
+    rejected = [_rejected(draws[:, n:] * excl, excl)]
+    excl = (start + np.arange(1, n + 1)).astype(np.uint64)
+    v = draws[:, :n] * excl
+    rejected.append(_rejected(v & _MASK32, excl))
+    ok = ~_tail_route(pools, n)
+    ok[row_user[np.concatenate(rejected)]] = False
+    v >>= 32
+    v = v.view(np.int64)
+    # v_t equals an earlier v_s: the later entries of each run of equal
+    # values, once each row is sorted by (value, step)
+    shift = (n - 1).bit_length()
+    keys = v << shift
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    values = keys >> shift
+    r, t = np.nonzero(values[:, 1:] == values[:, :-1])
+    kept_j = np.zeros(v.shape, bool)
+    kept_j[r, keys[r, t + 1] & (1 << shift) - 1] = True
+    # v_t equals j_s = start + s for an earlier s: follow step s's outcome
+    # until none changes
+    r, t = np.nonzero(v >= start)
+    s = v[r, t] - start[r, 0]
+    r, t, s = r[s < t], t[s < t], s[s < t]
+    while (follows := kept_j[r, s] & ~kept_j[r, t]).any():
+        kept_j[r[follows], t[follows]] = True
+    r, t = np.nonzero(kept_j)
+    v[r, t] = start[r, 0] + t
+    return v, ok
+
+
 def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
                      n_negatives=0, target="test", label_field="label") -> CandidateSet:
     """Build the ranking positives and candidate items for each user.
@@ -269,7 +378,8 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
         target_rows = target_rows[ds.inter.columns[label_field][target_rows] > 0]
     users, ptr, items = user_index(ds.user_ids()[target_rows],
                                    ds.item_ids()[target_rows], ds.n_items)
-    positives = [items[lo:hi].copy() for lo, hi in zip(ptr[:-1], ptr[1:])]
+    bounds = ptr.tolist()
+    positives = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     n_items = ds.n_items
     if mode == "full":
         return CandidateSet("full", users, positives, None, n_items)
@@ -280,31 +390,60 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
     rows = np.concatenate([split.train, split.valid, split.test])
     # each user's known items over all splits, the padding ID 0 always
     # among them; below[i] = known[i] - (its rank in the user's list) is
-    # the number of eligible items under known[i]
+    # the number of eligible items under known[i], and adding
+    # k * (n_items + 1) for the k-th known user makes one sorted array
     k_users, k_ptr, known = user_index(
         np.tile(ds.user_ids()[rows], 2),
         np.concatenate([ds.item_ids()[rows], np.zeros(len(rows), np.int64)]),
         n_items)
-    below = known - np.arange(len(known)) + np.repeat(k_ptr[:-1], np.diff(k_ptr))
+    k_sizes = np.diff(k_ptr)
+    below = known - np.arange(len(known)) + np.repeat(
+        k_ptr[:-1] + np.arange(len(k_users)) * (n_items + 1), k_sizes)
+    k = np.searchsorted(k_users, users)
+    pools = n_items - k_sizes[k]
+    short = np.flatnonzero(pools < n_negatives)
+    if len(short):
+        u = short[0]
+        raise ProtocolError(
+            f"user {ds.vocabs[ds.user_field].decode(users[u])!r}: only {pools[u]} "
+            f"items are eligible as negatives, fewer than N={n_negatives}")
+    counts = np.diff(ptr)
     purpose = _RNG_NEGATIVES if target == "test" else _RNG_VALID_NEGATIVES
-    candidates = []
-    for u, p, j, rng in zip(users, positives, np.searchsorted(k_users, users),
-                            user_streams(seed, purpose, users)):
-        lo, hi = k_ptr[j], k_ptr[j + 1]
-        n_eligible = n_items - (hi - lo)
-        if n_eligible < n_negatives:
-            raise ProtocolError(
-                f"user {ds.vocabs[ds.user_field].decode(u)!r}: only {n_eligible} "
-                f"items are eligible as negatives, fewer than N={n_negatives}")
-        idx = np.concatenate([rng.choice(n_eligible, size=n_negatives, replace=False)
-                              for _ in p])
+    streams = user_streams(seed, purpose, users)
+    n_words = choice_words(pools, counts, n_negatives).tolist()
+    candidates, per_user = [], 0
+    # chunks of about _CHUNK_ROWS (user, positive) rows bound the memory
+    cuts = np.flatnonzero(np.diff(ptr[:-1] // _CHUNK_ROWS, prepend=-1)).tolist()
+    for a, b in zip(cuts, [*cuts[1:], len(users)]):
+        words = [next(streams).bit_generator.random_raw(w) for w in n_words[a:b]]
+        sets, ok = floyd_choice(np.concatenate(words), pools[a:b], counts[a:b],
+                                n_negatives)
+        redo = (a + np.flatnonzero(~ok)).tolist()  # the rare user numpy's way
+        per_user += len(redo)
+        for u in redo:
+            rng = user_rng(seed, purpose, users[u])
+            for r in range(ptr[u] - ptr[a], ptr[u + 1] - ptr[a]):
+                sets[r] = rng.choice(pools[u], n_negatives, replace=False)
+        # base + idx keys, base = k * (n_items + 1) for the k-th known user:
         # the idx-th eligible item skips each known item with below <= idx
-        cands = np.sort(np.concatenate(
-            [p, idx + np.searchsorted(below[lo:hi], idx, side="right")]))
-        if len(p) > 1:  # one draw is distinct and misses p; two may overlap
-            cands = cands[np.diff(cands, prepend=-1) != 0]
-        candidates.append(cands)
-    return CandidateSet("uni", users, positives, candidates, n_items, n_negatives)
+        base = k[a:b] * (n_items + 1)
+        sets.sort(axis=1)  # ascending queries search faster
+        sets += np.repeat(base, counts[a:b])[:, None]
+        sets += np.searchsorted(below, sets, side="right")
+        sets -= np.repeat(k_ptr[k[a:b]], counts[a:b])[:, None]
+        # base + item keys of the draws, then of the positives: two ascending
+        # runs (one per call when a user has several), which a stable sort
+        # merges in about linear time; draws for two positives may repeat
+        keys = np.concatenate([sets.ravel(), items[ptr[a]:ptr[b]]
+                               + np.repeat(base, counts[a:b])])
+        keys.sort(kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        at = np.searchsorted(keys, np.append(base, base[-1] + n_items))
+        keys -= np.repeat(base, np.diff(at))
+        at = at.tolist()
+        candidates += [keys[lo:hi] for lo, hi in zip(at[:-1], at[1:])]
+    return CandidateSet("uni", users, positives, candidates, n_items, n_negatives,
+                        per_user)
 
 
 def make_split(ds: Dataset, plan: EvalPlan, time_field="timestamp") -> SplitResult:
@@ -320,8 +459,13 @@ def make_split(ds: Dataset, plan: EvalPlan, time_field="timestamp") -> SplitResu
     n = len(user_col)
     if n == 0:
         raise ProtocolError("cannot group an empty interaction table")
-    if plan.ordering == "TO" and not ds.inter.has_field(time_field):
-        raise ProtocolError(f"temporal ordering requires the {time_field!r} field")
+    if plan.ordering == "TO":
+        if not ds.inter.has_field(time_field):
+            raise ProtocolError(f"temporal ordering requires the {time_field!r} field")
+        ftype = ds.inter.field(time_field).ftype
+        if ftype != FieldType.FLOAT:
+            raise ProtocolError(f"time_field {time_field!r} is a {ftype.value} field; "
+                                "temporal ordering needs a float field")
     users, indptr, rows = user_index(user_col, np.arange(n), n)
     if plan.ordering == "TO":  # lexsort is stable: timestamp ties keep file order
         rows = np.lexsort((np.asarray(ds.inter.columns[time_field], dtype=np.float64),

@@ -126,8 +126,11 @@ def _value_pairs(ds, rows, truth_field):
 
 
 def _make_evaluator(ds, split, plan, metric_names, ks, target, mask_train,
-                    truth_field, batch_size, config_hash):
-    """Wire an Evaluator for the valid or test stage (None if no targets)."""
+                    truth_field, batch_size, config_hash, log=None):
+    """Wire an Evaluator for the valid or test stage (None if no targets).
+
+    A sampled stage writes its candidate counts to ``log``.
+    """
     ranking = [m for m in metric_names if metric_kind(m) == "ranking"]
     value = [m for m in metric_names if metric_kind(m) == "value"]
     target_rows = split.test if target == "test" else split.valid
@@ -141,6 +144,10 @@ def _make_evaluator(ds, split, plan, metric_names, ks, target, mask_train,
                                 label_field=truth_field)
         if len(cand.users) == 0:
             return None
+        if cand.mode == "uni" and log is not None:
+            log.write(f"candidates {target} {cand.describe()}: users={len(cand.users)} "
+                      f"candidates={sum(map(len, cand.candidates))} "
+                      f"per_user_draws={cand.per_user_draws}")
         users, positives, candidates = cand.users, cand.positives, cand.candidates
         cand_label = cand.describe()
         if plan.candidates == "full" and mask_train:
@@ -286,14 +293,14 @@ def _prepare(cfg: Config, log):
     return ds, plan, split
 
 
-def _valid_scorer(ds, split, plan, cfg):
+def _valid_scorer(ds, split, plan, cfg, log):
     base, k = split_metric_key(cfg.valid_metric)
     kind = metric_kind(base)
     if kind == "ranking" and k is None:
         raise ConfigError(f"ranking valid_metric needs a K, e.g. {base}@10")
     ks = [k] if k is not None else []
     ev = _make_evaluator(ds, split, plan, [base], ks, "valid", cfg.mask_train,
-                         cfg.truth_field, cfg.eval_batch_size, cfg.hash)
+                         cfg.truth_field, cfg.eval_batch_size, cfg.hash, log)
     if ev is None:
         return None
     key = f"{base}@{k}" if k is not None else base
@@ -338,7 +345,7 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
     elif state.epoch >= _last_epoch(model, cfg):
         log.write(f"no epoch left after epoch {state.epoch}; re-emitting the report")
     else:
-        scorer = _valid_scorer(ds, split, plan, cfg)
+        scorer = _valid_scorer(ds, split, plan, cfg, log)
         if scorer is None:
             log.write("no validation targets; training runs all epochs")
         result.epoch_losses, result.valid_scores, result.interrupted = _fit(
@@ -350,7 +357,7 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
     model.load_state_arrays(load_state(result.checkpoint_best)[1])
     test_eval = _make_evaluator(ds, split, plan, list(cfg.metrics),
                                 list(cfg.topk), "test", cfg.mask_train,
-                                cfg.truth_field, cfg.eval_batch_size, cfg.hash)
+                                cfg.truth_field, cfg.eval_batch_size, cfg.hash, log)
     if test_eval is None:
         raise RecbenchError("test split is empty; nothing to evaluate")
     result.report = test_eval.evaluate(model)

@@ -159,6 +159,11 @@ class TestRun:
         _assert_one_error_line(proc, "filter 'user_id>=3': field 'user_id' is a "
                                      "token field; comparisons need a float field")
 
+    def test_token_time_field_is_one_error_line(self, tmp_path):
+        proc = self._run_toy(tmp_path / "out", "--set", "time_field=user_id")
+        _assert_one_error_line(proc, "time_field 'user_id' is a token field; "
+                                     "temporal ordering needs a float field")
+
     def test_unquoted_inter_num_filter_says_to_quote_it(self, tmp_path):
         # the YAML flow list splits inter_num(5,5) at its comma
         proc = self._run_toy(tmp_path / "out", "--set", "filters=[inter_num(5,5)]")

@@ -318,6 +318,128 @@ class TestUserStreams:
             next(protocol.user_streams(-1, protocol._RNG_ORDER, [1]))
 
 
+def _choice_model(u32, pool, n):
+    """``Generator.choice(pool, n, replace=False)`` on Floyd's route, read from uint32 draws.
+
+    A plain loop over numpy's steps: Floyd's selection, then the shuffle,
+    each draw bounded by Lemire's method.  Returns the indices in numpy's
+    order, the number of draws read and whether any draw was rejected.
+    """
+    at, rejected = 0, False
+
+    def bounded(bound):  # a bound of 0 reads nothing
+        nonlocal at, rejected
+        while bound:
+            m = int(u32[at]) * (bound + 1)
+            at += 1
+            if m % 2**32 >= 2**32 % (bound + 1):
+                return m >> 32
+            rejected = True
+        return 0
+
+    chosen, out = set(), []
+    for j in range(pool - n, pool):
+        v = bounded(j)
+        v = j if v in chosen else v
+        chosen.add(v)
+        out.append(v)
+    for i in range(n - 1, 0, -1):
+        k = bounded(i)
+        out[i], out[k] = out[k], out[i]
+    return out, at, rejected
+
+
+class TestFloydChoice:
+    """``floyd_choice`` gives ``rng.choice``'s sets, and flags every user it cannot.
+
+    Each user's stream is checked three ways: :func:`_choice_model` must
+    equal ``rng.choice`` call by call, ``ok`` must be False exactly where
+    the model reads a rejected draw or the pool takes numpy's tail route,
+    and every ok user's rows must hold ``rng.choice``'s sets.  This pins
+    numpy's ``choice``: a release that changes it fails here.
+    """
+
+    def _check(self, n, users):
+        """``users``: (pool, calls, seed, purpose, user ID) per user."""
+        pools = [pool for pool, *_ in users]
+        counts = [calls for _, calls, *_ in users]
+        n_words = protocol.choice_words(pools, counts, n)
+        words = [protocol.user_rng(*u[2:]).bit_generator.random_raw(w)
+                 for u, w in zip(users, n_words)]
+        sets, ok = protocol.floyd_choice(np.concatenate(words), pools, counts, n)
+        assert sets.shape == (sum(counts), n) and sets.dtype == np.int64
+        row = 0
+        for (pool, calls, *key), good in zip(users, ok.tolist()):
+            rng = protocol.user_rng(*key)
+            raw = protocol.user_rng(*key).bit_generator.random_raw(4 * calls * n + 64)
+            u32 = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+            tail = pool > 10000 and n > pool // 50
+            at, rejected = 0, False
+            for _ in range(calls):
+                want = rng.choice(pool, n, replace=False)
+                if not tail:
+                    got, used, rej = _choice_model(u32[at:], pool, n)
+                    assert got == want.tolist(), (pool, n, key)
+                    at, rejected = at + used, rejected or rej
+                if good:
+                    np.testing.assert_array_equal(np.sort(sets[row]), np.sort(want))
+                row += 1
+            assert good == (not tail and not rejected), (pool, n, key)
+        return ok
+
+    def test_pools_and_sizes(self):
+        pick = np.random.default_rng(23)
+        purposes = (protocol._RNG_NEGATIVES, protocol._RNG_VALID_NEGATIVES)
+        seeds = (0, 2020, 2**32 + 5, 2**64 - 1)
+        user_ids = (1, 2, 999, 2**31, 2**32 - 1)
+        pools = (1, 2, 3, 7, 99, 100, 101, 1000, 9999, 10000, 10001, 20000, 59999, 60000)
+        # n = pool, and both sides of the tail route's n > pool // 50 at
+        # 10001, 20000 and 60000
+        for n in (1, 2, 3, 7, 99, 100, 200, 201, 400, 401, 1199, 1200, 1201):
+            users = [(pool, int(pick.integers(1, 4)), seeds[k % 4], purposes[k % 2],
+                      user_ids[k % 5])
+                     for k, pool in enumerate(p for p in pools if p >= n)]
+            users += [(n, 2, seeds[n % 4], purposes[0], n)]
+            self._check(n, users)
+
+    def test_pools_near_2_31(self):
+        # Lemire rejects about half the draws on these bounds
+        for n in (1, 2, 3):
+            users = [(pool, calls, 7, protocol._RNG_NEGATIVES, u)
+                     for u, (pool, calls) in enumerate(
+                         [(p, c) for p in (2**31 - 1, 2**31, 2**31 + 1, 2**32 - 2)
+                          for c in (1, 2, 3)] * 3)]
+            ok = self._check(n, users)
+            assert 0 < ok.sum() < len(ok)  # both outcomes occur
+
+    def test_rejected_shuffle_draw(self):
+        # user 387's first call rejects a shuffle draw and no Floyd draw, so
+        # its second call starts one draw later than 2n - 2
+        key = (7, protocol._RNG_NEGATIVES, 387)
+        raw = protocol.user_rng(*key).bit_generator.random_raw(10000)
+        u32 = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        assert _choice_model(u32, 10000, 10000)[1:] == (19999, True)
+        self._check(10000, [(10000, 2, *key), (10000, 1, 7, protocol._RNG_NEGATIVES, 5)])
+
+    def test_build_candidates_draws_tail_route_users_one_by_one(self):
+        # six users with ten rows each over 60 items, plus 10,001 one-row
+        # users, which LS keeps in train: every evaluated user's pool is
+        # above 10,000, and N = 300 is above pool // 50, N = 200 is not
+        users = [f"u{k % 6}" for k in range(60)] + [f"z{k}" for k in range(10001)]
+        items = [f"i{k}" for k in range(60)] + [f"j{k}" for k in range(10001)]
+        ds = build_dataset(users, items)
+        split = make_split(ds, parse_eval_setting("RO_LS,uni300", seed=5))
+        for target in ("valid", "test"):
+            for n, per_user in ((300, 6), (200, 0)):
+                got = build_candidates(ds, split, "uni", seed=5, n_negatives=n,
+                                       target=target)
+                want = _catalog_scan_candidates(ds, split, 5, n, target)
+                assert got.per_user_draws == per_user
+                np.testing.assert_array_equal(got.users, want[0])
+                for x, y in zip(got.candidates, want[2]):
+                    np.testing.assert_array_equal(x, y)
+
+
 class TestBuildCandidates:
     def test_full_mode_counts(self):
         ds = build_dataset(["a", "a", "b", "b"], ["w", "x", "y", "z"])

@@ -8,6 +8,7 @@ import pytest
 from recbench.config import load_config
 from recbench.errors import CheckpointError
 from recbench.models import load_state, save_state
+from recbench.protocol import build_candidates, make_split, parse_eval_setting
 from recbench.runner import (RunLog, TrainState, _fit, load_dataset,
                              resume_experiment, run_experiment)
 from recbench.tables import (DataTable, FieldSpec, FieldType, TableKind,
@@ -298,6 +299,36 @@ class TestOtherModels:
         ])
         result = run_experiment(cfg)
         assert result.report.candidates == "uni5"
+
+
+    def test_uni_stages_log_counts_and_reports_stay_identical(self, tmp_path):
+        inter = _write_planted(tmp_path, n_users=30, n_items=25,
+                               top_frac=0.12, seed=9)
+        runs = []
+        for name in ("a", "b"):
+            cfg = load_config(None, [
+                f"inter_path={inter}", "model=popularity",
+                "eval_setting=RO_RS,uni5", "metrics=[recall]", "topk=[3]",
+                "valid_metric=recall@3", f"out_dir={tmp_path / name}",
+            ])
+            runs.append(run_experiment(cfg))
+        ds = load_dataset(cfg)
+        plan = parse_eval_setting(cfg.eval_setting, seed=cfg.seed)
+        split = make_split(ds, plan)
+        want = []
+        for target in ("valid", "test"):
+            cand = build_candidates(ds, split, "uni", plan.seed, 5, target=target)
+            want.append(f"candidates {target} uni5: users={len(cand.users)} "
+                        f"candidates={sum(map(len, cand.candidates))} per_user_draws=0")
+        for run in runs:
+            log = run.out_dir.joinpath("run.log").read_text().splitlines()
+            assert [line.split(" | ", 1)[1] for line in log
+                    if " | candidates " in line] == want
+            for path in (run.report_text_path, run.report_json_path):
+                assert b"per_user_draws" not in path.read_bytes()
+        a, b = runs
+        assert a.report_text_path.read_bytes() == b.report_text_path.read_bytes()
+        assert a.report_json_path.read_bytes() == b.report_json_path.read_bytes()
 
 
 class TestTruthField:
