@@ -10,11 +10,14 @@ The canonical preprocessing order used by the runner is: row filters (in
 config order) -> remap_ids -> fill_nan -> set_label_by_threshold ->
 normalize.  Filters never re-remap IDs; remapping is a separate explicit
 step so filtered-out entities do not occupy vocabulary slots.
+
+The row filters are :func:`filter_by_inter_num` (k-core counts) and
+:func:`filter_by_field_value` (one comparison on a float field, which a
+missing value never satisfies).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -164,51 +167,27 @@ def filter_by_inter_num(ds: Dataset, min_user=0, min_item=0) -> Dataset:
     return replace(ds, inter=ds.inter.select_rows(np.flatnonzero(keep)))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Numeric interval predicate; closed below, open above by default."""
-
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_closed: bool = True
-    hi_closed: bool = False
-
-    def mask(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        low = values >= self.lo if self.lo_closed else values > self.lo
-        high = values <= self.hi if self.hi_closed else values < self.hi
-        return low & high
+_COMPARISONS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater,
+                "<": np.less, "==": np.equal, "!=": np.not_equal}
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    """Membership predicate over an explicit value set."""
+def filter_by_field_value(ds: Dataset, field_name, op, value) -> Dataset:
+    """Keep interaction rows where ``field_name <op> value`` holds.
 
-    values: frozenset
-
-    def mask(self, column):
-        return np.array([v in self.values for v in _iter_column(column)], dtype=bool)
-
-
-def _iter_column(column):
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return column
-
-
-def filter_by_field_value(ds: Dataset, field_name, predicate) -> Dataset:
-    """Keep interaction rows whose ``field_name`` satisfies ``predicate``.
-
-    ``predicate`` is an :class:`Interval`, a :class:`ValueSet`, or any
-    object with a ``mask(column) -> bool array`` method.  Missing values
-    never satisfy interval predicates.  No ID re-remapping happens here.
+    ``op`` is one of ``>=``, ``<=``, ``>``, ``<``, ``==`` and ``!=``, and
+    the field must be a float field.  A missing value satisfies no
+    comparison, ``!=`` included.  No ID re-remapping happens here.
     """
     if not ds.inter.has_field(field_name):
         raise DataError(f"unknown field {field_name!r}")
+    ftype = ds.inter.field(field_name).ftype
+    if ftype != FieldType.FLOAT:
+        raise DataError(f"field {field_name!r} is a {ftype.value} field; "
+                        "comparisons need a float field")
+    if op not in _COMPARISONS:
+        raise DataError(f"unknown comparison {op!r}")
     column = ds.inter.columns[field_name]
-    mask = np.asarray(predicate.mask(column), dtype=bool)
-    if mask.shape != (len(ds.inter),):
-        raise DataError("predicate produced a mask of the wrong length")
+    mask = _COMPARISONS[op](column, value) & ~np.isnan(column)
     if not mask.any():
         raise DataError("dataset emptied by filtering")
     if mask.all():

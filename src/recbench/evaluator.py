@@ -23,7 +23,10 @@ Two execution paths share the scores and the metric code:
 Both paths feed identical hit matrices into identical metric code, so a
 correct kernel makes their reports byte-identical.
 
-The padding column (item ID 0) is not a real item and is always masked.
+The one score mask is ``_batch_scores``' in-place -inf fill of each
+user's history and of the padding column (item ID 0, never a real item).
+Sampled scores stay one flat array from ``model.predict`` on, every
+user's candidates concatenated in row order (see :mod:`recbench.ranking`).
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class Evaluator:
         self.config_hash = config_hash
         self.user_field = user_field
         self.item_field = item_field
+        if self.ks and self.ks[0] < 1:
+            raise EvalError(f"K={self.ks[0]} must be >= 1")
         if self.batch_size < 1:
             raise EvalError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mask_items is not None and self.candidates is not None:
@@ -132,19 +137,14 @@ class Evaluator:
 
         The matrix is the caller's own (``full_sort_predict`` returns a
         new array, and a sampled matrix is built here), so history
-        masking and the padding fill happen in place; the public
-        :func:`mask_training_items` op keeps the copying contract for
-        external callers.
+        masking and the padding fill happen in place.
         """
-        users = self.users[lo:hi]
         if self.candidates is None:
-            mat = reshape_scores(model.full_sort_predict(users), self.n_items)
+            mat = reshape_scores(model.full_sort_predict(self.users[lo:hi]),
+                                 self.n_items)
         else:
-            cands = self.candidates[lo:hi]
-            counts = [0 if c is None else len(c) for c in cands]
-            per_user = np.split(self._candidate_scores(model, lo, hi),
-                                np.cumsum(counts)[:-1])
-            mat = reshape_scores(per_user, self.n_items, candidates=cands)
+            mat = reshape_scores(self._candidate_scores(model, lo, hi),
+                                 self.n_items, candidates=self.candidates[lo:hi])
         if self.mask_items is not None:
             mat[row_cells(self.mask_items[lo:hi])] = NEG_INF
         mat[:, 0] = NEG_INF  # padding slot is never a recommendation

@@ -10,7 +10,9 @@ with a row per user in the batch:
              at the end with -inf (w = the longest candidate list, at
              least K), plus the matching matrix of item IDs;
 2. fill      overwrite each user's training-item scores with -inf so they
-             cannot be recommended (optional, full ranking only);
+             cannot be recommended (optional, full ranking only).  The
+             evaluator fills the matrix it built in place
+             (``Evaluator._batch_scores``);
 3. topk      per row, the K highest-scoring column indices, descending
              score, ties broken by ascending index -- partial selection,
              never a full sort.  Sampled rows map the columns back to
@@ -20,6 +22,11 @@ with a row per user in the batch:
              from.  :func:`positive_hits` does this with no n x m
              relevance matrix; :func:`index_hits` gathers from a dense
              :func:`relevance_matrix` and gives the same result.
+
+Sampled scores travel in one form: a flat array holding the model's
+scores of every user's candidates, concatenated in row order (the order
+of :func:`row_cells`).  :func:`compact_scores` and :func:`reshape_scores`
+with ``candidates=`` both take it, and check its length.
 
 The compact form ranks exactly as the full-width n x m matrix that is
 -inf except at the candidates (:func:`reshape_scores` with
@@ -69,27 +76,32 @@ def reshape_scores(scores, n_items, candidates=None) -> np.ndarray:
     """Arrange model scores as one dense (n, n_items) float64 matrix.
 
     Full ranking: ``scores`` is already (n, n_items) and is validated and
-    converted.  Sampled ranking: ``scores`` is a per-user list of arrays
-    aligned with ``candidates`` (a per-user list of item-index arrays);
-    the matrix is initialized to -inf and filled at candidate positions.
+    converted.  Sampled ranking: ``scores`` holds the scores of
+    ``candidates`` (a per-user list of item-ID arrays) concatenated in row
+    order; the matrix is -inf outside the candidates.
     """
     if candidates is None:
         mat = np.asarray(scores, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[1] != n_items:
             raise EvalError(f"expected shape (n, {n_items}), got {mat.shape}")
         return mat
-    rows, cols = row_cells(candidates)
-    _check_candidate_ids(cols, n_items)
+    rows, cols, values = _candidate_cells(scores, candidates, n_items)
     out = np.full((len(candidates), n_items), NEG_INF, dtype=np.float64)
-    out[rows, cols] = np.concatenate([np.empty(0), *scores])
+    out[rows, cols] = values
     return out
 
 
-def _check_candidate_ids(cols, n_items):
+def _candidate_cells(scores, candidates, n_items):
+    """``(rows, cols, values)`` of flat candidate scores, checked."""
+    rows, cols = row_cells(candidates)
     if len(cols) and cols.max() >= n_items:
         raise EvalError(f"candidate index {int(cols.max())} >= n_items={n_items}")
     if len(cols) and cols.min() < 0:
         raise EvalError(f"candidate index {int(cols.min())} < 0")
+    values = np.asarray(scores, dtype=np.float64)
+    if values.shape != cols.shape:
+        raise EvalError(f"{values.size} scores for {len(cols)} candidates")
+    return rows, cols, values
 
 
 def compact_scores(scores, candidates, n_items, k):
@@ -102,9 +114,7 @@ def compact_scores(scores, candidates, n_items, k):
     0 up to w = max(longest row, k).  A repeated candidate keeps its last
     score and the padding item 0 scores -inf, as in the full-width matrix.
     """
-    rows, cols = row_cells(candidates)
-    _check_candidate_ids(cols, n_items)
-    values = np.asarray(scores, dtype=np.float64)
+    rows, cols, values = _candidate_cells(scores, candidates, n_items)
     keys = rows * n_items + cols.astype(np.int64)
     if np.any(keys[1:] <= keys[:-1]):  # a row out of item order, or a repeat
         order = np.argsort(keys, kind="stable")
@@ -151,13 +161,6 @@ def row_cells(per_row):
     rows = np.repeat(np.arange(len(counts)), counts)
     cols = [np.asarray(c) for c, n in zip(per_row, counts) if n]
     return rows, np.concatenate(cols) if cols else np.empty(0, dtype=np.intp)
-
-
-def mask_training_items(scores, items_per_user) -> np.ndarray:
-    """Copy of ``scores`` with each user's listed items set to -inf."""
-    out = np.array(scores, dtype=np.float64, copy=True)
-    out[row_cells(items_per_user)] = NEG_INF
-    return out
 
 
 @dataclass(frozen=True)

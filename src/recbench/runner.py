@@ -40,18 +40,7 @@ from .metrics import metric_direction, metric_kind
 from .models import build_model, load_state, save_state
 from .protocol import (build_candidates, history_by_user, make_split,
                        parse_eval_setting)
-from .tables import FieldType, TableKind, read_table
-
-_OPS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater,
-        "<": np.less, "==": np.equal, "!=": np.not_equal}
-
-
-class _Predicate:
-    def __init__(self, op, value):
-        self.op, self.value = _OPS[op], value
-
-    def mask(self, column):
-        return self.op(np.asarray(column, dtype=np.float64), self.value)
+from .tables import TableKind, read_table
 
 
 class RunLog:
@@ -92,17 +81,14 @@ def load_dataset(cfg: Config, log=None) -> ds_mod.Dataset:
                               item_field=cfg.item_field, **tables)
     log.write(f"loaded {len(ds.inter)} interaction rows from {cfg.inter_path}")
     for spec in cfg.filters:
-        parsed = parse_filter_spec(spec)
-        if parsed[0] == "inter_num":
-            ds = ds_mod.filter_by_inter_num(ds, parsed[1], parsed[2])
-        else:
-            _, fname, op, value = parsed
-            if (ds.inter.has_field(fname)
-                    and ds.inter.field(fname).ftype != FieldType.FLOAT):
-                raise DataError(f"filter {spec!r}: field {fname!r} is a "
-                                f"{ds.inter.field(fname).ftype.value} field; "
-                                "comparisons need a float field")
-            ds = ds_mod.filter_by_field_value(ds, fname, _Predicate(op, value))
+        form, *args = parse_filter_spec(spec)
+        try:
+            if form == "inter_num":
+                ds = ds_mod.filter_by_inter_num(ds, *args)
+            else:
+                ds = ds_mod.filter_by_field_value(ds, *args)
+        except DataError as exc:
+            raise DataError(f"filter {spec!r}: {exc}") from None
         log.write(f"filter {spec!r} -> {len(ds.inter)} rows")
     ds = ds_mod.remap_ids(ds)
     log.write(f"remapped IDs: {ds.n_users - 1} users, {ds.n_items - 1} items")

@@ -63,10 +63,6 @@ class TableKind(str, Enum):
     USER = "user"
     ITEM = "item"
 
-    @property
-    def suffix(self):
-        return "." + self.value
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -138,16 +134,10 @@ class DataTable:
                 cols[f.name] = [col[i] for i in indices]
         return DataTable(self.kind, self.fields, cols)
 
-    def replace_column(self, name, column) -> "DataTable":
-        self.field(name)
-        cols = dict(self.columns)
-        cols[name] = column
-        return DataTable(self.kind, self.fields, cols)
-
     def append_field(self, spec: FieldSpec, column) -> "DataTable":
-        if self.has_field(spec.name):
-            return self.replace_column(spec.name, column)
-        return DataTable(self.kind, self.fields + (spec,), {**self.columns, spec.name: column})
+        """New table with ``column`` added, or replacing a same-named one."""
+        fields = self.fields if self.has_field(spec.name) else self.fields + (spec,)
+        return DataTable(self.kind, fields, {**self.columns, spec.name: column})
 
     def __len__(self):
         return self.row_count

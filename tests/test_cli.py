@@ -159,6 +159,35 @@ class TestRun:
         _assert_one_error_line(proc, "filter 'user_id>=3': field 'user_id' is a "
                                      "token field; comparisons need a float field")
 
+    @pytest.mark.parametrize("op", [">=", "<=", ">", "<", "==", "!="])
+    def test_value_filter_matches_numpy_on_missing_values(self, tmp_path, op):
+        rng = np.random.default_rng(5)
+        n = 400
+        users = rng.integers(0, 40, size=n)
+        items = rng.integers(0, 25, size=n)
+        ratings = rng.integers(1, 6, size=n).astype(np.float64)
+        ratings[rng.random(n) < 0.2] = np.nan
+        rows = [f"u{u},i{i},{'' if np.isnan(r) else r},{t}.0"
+                for t, (u, i, r) in enumerate(zip(users, items, ratings))]
+        path = write_inter_file(tmp_path / "nan.inter", rows,
+                                "user_id:token,item_id:token,rating:float,"
+                                "timestamp:float")
+        out = tmp_path / "out"
+        proc = run_cli("run", "--set", f"inter_path={path}",
+                       "--set", "model=popularity", "--set", "metrics=[recall]",
+                       "--set", "topk=[1]", "--set", "valid_metric=recall@1",
+                       "--set", f"out_dir={out}", "--set", f'filters=["rating{op}3.0"]',
+                       "--eval-setting", "RO_RS,full", "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        ops = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater,
+               "<": np.less, "==": np.equal, "!=": np.not_equal}
+        observed = ~np.isnan(ratings)
+        kept = np.flatnonzero(observed)[ops[op](ratings[observed], 3.0)]
+        log = (out / "run.log").read_text()
+        assert f"filter 'rating{op}3.0' -> {len(kept)} rows\n" in log
+        assert (f"remapped IDs: {len(set(users[kept]))} users, "
+                f"{len(set(items[kept]))} items\n") in log
+
     def test_token_time_field_is_one_error_line(self, tmp_path):
         proc = self._run_toy(tmp_path / "out", "--set", "time_field=user_id")
         _assert_one_error_line(proc, "time_field 'user_id' is a token field; "

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from recbench.dataset import (PAD_TOKEN, Dataset, Interval, ValueSet,
-                              fill_nan, filter_by_field_value,
-                              filter_by_inter_num, normalize, remap_ids,
-                              set_label_by_threshold)
+from recbench.dataset import (PAD_TOKEN, Dataset, fill_nan,
+                              filter_by_field_value, filter_by_inter_num,
+                              normalize, remap_ids, set_label_by_threshold)
 from recbench.errors import DataError
 from recbench.tables import DataTable, FieldSpec, FieldType, TableKind
 from tests.conftest import build_dataset, dataset_digest, make_inter
@@ -87,10 +86,13 @@ class TestFilterByInterNum:
 
 
 class TestFilterByFieldValue:
+    OPS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater,
+           "<": np.less, "==": np.equal, "!=": np.not_equal}
+
     def test_interval_keeps_matching_rows(self):
         ds = build_dataset(["a", "b", "c"], ["x", "y", "z"],
                            ratings=[1.0, 3.0, 5.0])
-        out = filter_by_field_value(ds, "rating", Interval(lo=3.0))
+        out = filter_by_field_value(ds, "rating", ">=", 3.0)
         np.testing.assert_array_equal(out.inter.columns["rating"], [3.0, 5.0])
 
     def test_matches_linear_scan_oracle(self, rng):
@@ -99,27 +101,47 @@ class TestFilterByFieldValue:
         ds = build_dataset([f"u{i%7}" for i in range(n)],
                            [f"i{i%11}" for i in range(n)], timestamps=ts)
         t0, t1 = 25.0, 75.0
-        out = filter_by_field_value(ds, "timestamp",
-                                    Interval(lo=t0, hi=t1))
+        out = filter_by_field_value(ds, "timestamp", ">=", t0)
+        out = filter_by_field_value(out, "timestamp", "<", t1)
         expected = [i for i in range(n) if t0 <= ts[i] < t1]
         np.testing.assert_array_equal(out.inter.columns["timestamp"],
                                       ts[expected])
 
-    def test_value_set(self):
-        ds = build_dataset(["a", "b", "c"], ["x", "y", "z"],
-                           ratings=[1.0, 2.0, 3.0])
-        out = filter_by_field_value(ds, "rating", ValueSet(frozenset({1.0, 3.0})))
-        assert len(out.inter) == 2
+    @pytest.mark.parametrize("op", [">=", "<=", ">", "<", "==", "!="])
+    def test_missing_values_satisfy_no_comparison(self, op, rng):
+        ratings = rng.integers(1, 6, size=200).astype(np.float64)
+        ratings[rng.random(200) < 0.25] = np.nan
+        ds = build_dataset([f"u{i % 9}" for i in range(200)],
+                           [f"i{i % 13}" for i in range(200)], ratings=ratings)
+        out = filter_by_field_value(ds, "rating", op, 3.0)
+        rows = [i for i, v in enumerate(ratings.tolist())
+                if not np.isnan(v) and self.OPS[op](v, 3.0)]
+        np.testing.assert_array_equal(out.inter.columns["rating"], ratings[rows])
+        np.testing.assert_array_equal(out.user_ids(), ds.user_ids()[rows])
 
     def test_empty_result_errors(self):
         ds = build_dataset(["a"], ["x"], ratings=[1.0])
         with pytest.raises(DataError, match="emptied"):
-            filter_by_field_value(ds, "rating", Interval(lo=10.0))
+            filter_by_field_value(ds, "rating", ">=", 10.0)
 
     def test_unknown_field(self):
         ds = build_dataset(["a"], ["x"])
         with pytest.raises(DataError, match="unknown field"):
-            filter_by_field_value(ds, "nope", Interval())
+            filter_by_field_value(ds, "nope", ">=", 0.0)
+
+    def test_unknown_comparison(self):
+        ds = build_dataset(["a"], ["x"], ratings=[1.0])
+        with pytest.raises(DataError, match="unknown comparison '=>'"):
+            filter_by_field_value(ds, "rating", "=>", 0.0)
+
+    @pytest.mark.parametrize("encode", [False, True], ids=["raw", "remapped"])
+    def test_token_field_names_the_field(self, encode):
+        ds = Dataset.build(make_inter(["a", "b"], ["x", "y"]))
+        if encode:  # remapped IDs are numbers, but still not comparable
+            ds = remap_ids(ds)
+        with pytest.raises(DataError, match="field 'user_id' is a token field; "
+                                            "comparisons need a float field"):
+            filter_by_field_value(ds, "user_id", ">=", 1.0)
 
 
 class TestRemapIds:
@@ -321,7 +343,7 @@ class TestImmutability:
                            ratings=rng.uniform(1, 5, size=30))
         digest = dataset_digest(ds)
         filter_by_inter_num(ds, 2, 2)
-        filter_by_field_value(ds, "rating", Interval(lo=2.0))
+        filter_by_field_value(ds, "rating", ">=", 2.0)
         fill_nan(ds)
         set_label_by_threshold(ds, "rating", 3.0)
         normalize(ds, ["rating"])

@@ -120,13 +120,21 @@ class TestPipelineEquivalence:
             assert (full.evaluate(model).values == samp.evaluate(model).values)
 
     def test_masking_soundness(self, rng):
-        from recbench.ranking import topk_find, mask_training_items
-
-        scores, positives, hist = _random_instance(rng, n_users=10, n_items=30)
-        masked = mask_training_items(scores, hist)
-        top = topk_find(masked, 5)
-        for r in range(10):
-            assert not np.intersect1d(top[r], hist[r]).size
+        # the masked history scores highest, and is all the positives there
+        # are: a sound mask leaves nothing to recall
+        n, m = 10, 30
+        scores = rng.standard_normal((n, m))
+        hist = [np.sort(rng.choice(np.arange(1, m), size=rng.integers(1, 8),
+                                   replace=False)) for _ in range(n)]
+        for r, items in enumerate(hist):
+            scores[r, items] += 10.0
+        model = FixedScores(scores)
+        args = (m, np.arange(n), hist, ["recall"], [1, 5])
+        unmasked = Evaluator(*args).evaluate(model).values
+        assert unmasked["recall@5"] > 0
+        ev = Evaluator(*args, mask_items=hist, batch_size=3)
+        for report in (ev.evaluate(model), ev.evaluate_naive(model)):
+            assert report.values == {"recall@1": 0.0, "recall@5": 0.0}
 
 
 def _sampled_instance(rng, n_users=None, n_items=None):
@@ -183,9 +191,7 @@ class TestCompactSampledPath:
             n, m = scores.shape
             k = int(rng.integers(1, m))
             rows, items = row_cells(cands)
-            per_user = [np.empty(0) if c is None else scores[r, c]
-                        for r, c in enumerate(cands)]
-            full = reshape_scores(per_user, m, candidates=cands)
+            full = reshape_scores(scores[rows, items], m, candidates=cands)
             full[:, 0] = -np.inf
             values, ids = compact_scores(scores[rows, items], cands, m, k)
             got = compact_top_items(topk_find(values, k), values, ids)
@@ -280,6 +286,11 @@ class TestHandComputed:
         with pytest.raises(EvalError, match="catalog"):
             Evaluator(3, np.array([0]), [np.array([1])], ["recall"], [3])
 
+    @pytest.mark.parametrize("ks", [[0], [0, 2], [-1, 3]])
+    def test_k_below_one_is_rejected(self, ks):
+        with pytest.raises(EvalError, match=f"K={min(ks)} must be >= 1"):
+            Evaluator(5, np.array([0]), [np.array([1])], ["recall"], ks)
+
     @pytest.mark.parametrize("batch_size", [0, -5])
     def test_batch_size_below_one_is_rejected(self, batch_size):
         with pytest.raises(EvalError, match="batch_size must be >= 1"):
@@ -300,6 +311,18 @@ class TestConvenienceEvaluate:
         assert 0 <= report.values["recall@5"] <= 1
         assert report.masked == "train+valid"
         assert report.candidates == "full"
+
+    def test_k_below_one_is_rejected_before_scoring(self, rng):
+        class Unscored:
+            def full_sort_predict(self, users):
+                raise AssertionError("scored before K was checked")
+
+        users = [f"u{v}" for v in rng.integers(0, 6, size=40)]
+        items = [f"i{v}" for v in rng.integers(0, 10, size=40)]
+        ds = build_dataset(users, items)
+        plan = parse_eval_setting("RO_RS,full", seed=3)
+        with pytest.raises(EvalError, match="K=0 must be >= 1"):
+            evaluate(Unscored(), ds, plan, ["recall"], [0])
 
     def test_report_formats(self, rng):
         scores = rng.standard_normal((3, 6))

@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from recbench import _topk_np
 from recbench.errors import EvalError, NaNScoreError
-from recbench.ranking import (NEG_INF, index_hits, mask_training_items,
-                              positive_hits, relevance_matrix, reshape_scores,
-                              topk_find)
+from recbench.ranking import (NEG_INF, index_hits, positive_hits,
+                              relevance_matrix, reshape_scores, topk_find)
 
 
 def _sort_oracle(row, k):
@@ -145,7 +144,7 @@ class TestReshapeScores:
             reshape_scores(np.zeros((1, 3)), 4)
 
     def test_sampled_mode_fills_candidates(self):
-        out = reshape_scores([np.array([1.0, 2.0, 3.0])], 6,
+        out = reshape_scores(np.array([1.0, 2.0, 3.0]), 6,
                              candidates=[np.array([0, 3, 4])])
         expected = [[1.0, NEG_INF, NEG_INF, 2.0, 3.0, NEG_INF]]
         np.testing.assert_array_equal(out, expected)
@@ -156,7 +155,7 @@ class TestReshapeScores:
             n = int(rng.integers(1, 6))
             cands = [np.sort(rng.choice(m, size=rng.integers(1, m), replace=False))
                      for _ in range(n)]
-            scores = [rng.standard_normal(len(c)) for c in cands]
+            scores = rng.standard_normal(sum(map(len, cands)))
             mat = reshape_scores(scores, m, candidates=cands)
             for r in range(n):
                 member = np.zeros(m, dtype=bool)
@@ -166,11 +165,11 @@ class TestReshapeScores:
 
     def test_candidate_index_out_of_range(self):
         with pytest.raises(EvalError, match="n_items"):
-            reshape_scores([np.array([1.0])], 3, candidates=[np.array([3])])
+            reshape_scores(np.array([1.0]), 3, candidates=[np.array([3])])
 
     def test_out_of_range_in_a_later_row(self):
         cands = [np.array([], dtype=np.int64), np.array([0, 2]), np.array([1, 5])]
-        scores = [np.empty(0), np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        scores = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(EvalError, match="candidate index 5 >= n_items=5"):
             reshape_scores(scores, 5, candidates=cands)
 
@@ -180,49 +179,19 @@ class TestReshapeScores:
             n = int(rng.integers(1, 8))
             cands = [np.sort(rng.choice(m, size=rng.integers(0, m + 1),
                                         replace=False)) for _ in range(n)]
-            scores = [rng.standard_normal(len(c)) for c in cands]
+            per_row = [rng.standard_normal(len(c)) for c in cands]
             want = np.full((n, m), NEG_INF)
-            for row, (cand, vals) in enumerate(zip(cands, scores)):
+            for row, (cand, vals) in enumerate(zip(cands, per_row)):
                 want[row, cand] = vals
-            got = reshape_scores(scores, m, candidates=cands)
+            got = reshape_scores(np.concatenate(per_row), m, candidates=cands)
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, want)
 
-
-class TestMaskTrainingItems:
-    def test_masks_listed_items(self):
-        mat = np.array([[0.9, 0.8, 0.7, 0.6]])
-        out = mask_training_items(mat, [np.array([1, 2])])
-        np.testing.assert_array_equal(out, [[0.9, NEG_INF, NEG_INF, 0.6]])
-        np.testing.assert_array_equal(mat, [[0.9, 0.8, 0.7, 0.6]])  # copy
-
-    def test_empty_history_unchanged(self):
-        mat = np.array([[0.5, 0.4]])
-        out = mask_training_items(mat, [np.array([], dtype=np.int64)])
-        np.testing.assert_array_equal(out, mat)
-
-    def test_none_and_empty_entries_match_per_row_loop(self, rng):
-        for _ in range(30):
-            n, m = int(rng.integers(1, 8)), int(rng.integers(4, 40))
-            mat = rng.standard_normal((n, m))
-            hist = [None if rng.random() < 0.3 else
-                    rng.choice(m, size=rng.integers(0, m), replace=False)
-                    for _ in range(n)]
-            want = mat.copy()
-            for row, items in enumerate(hist):
-                if items is not None and len(items):
-                    want[row, items] = NEG_INF
-            np.testing.assert_array_equal(mask_training_items(mat, hist), want)
-
-    def test_masked_count_matches_history(self, rng):
-        for _ in range(50):
-            n, m = int(rng.integers(1, 8)), int(rng.integers(4, 40))
-            mat = rng.standard_normal((n, m))
-            hist = [np.unique(rng.choice(m, size=rng.integers(0, m), replace=False))
-                    for _ in range(n)]
-            out = mask_training_items(mat, hist)
-            for r in range(n):
-                assert int(np.isneginf(out[r]).sum()) == len(hist[r])
+    @pytest.mark.parametrize("n_scores", [2, 4])
+    def test_score_count_must_match_candidates(self, n_scores):
+        cands = [np.array([1, 2]), None, np.array([0])]
+        with pytest.raises(EvalError, match=f"{n_scores} scores for 3 candidates"):
+            reshape_scores(np.ones(n_scores), 4, candidates=cands)
 
 
 class TestIndexHits:
