@@ -39,8 +39,8 @@ def _parse_map(text):
         try:
             ftype = FieldType(tag)
         except ValueError:
-            raise RecbenchError(f"bad --map entry {part!r}: "
-                                f"unknown type {tag!r}") from None
+            raise RecbenchError(f"bad --map entry {part!r}: unknown type {tag!r} "
+                                "(expected token or float)") from None
         mapping[src.strip()] = (dst.strip(), ftype)
     if not mapping:
         raise RecbenchError("--map must assign at least one column")

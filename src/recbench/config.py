@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
@@ -97,18 +98,26 @@ _DEFAULTS = {f.name: f.default for f in dc_fields(Config)
 _TRAIN_DEFAULTS = {f.name: f.default for f in dc_fields(TrainConfig)}
 
 
+def _finite(value):
+    """``value`` (a number or numeric text) as a finite float, else None.
+
+    NaN, the infinities and text that overflows to one (``1e400``) are not
+    finite, nor is an integer too large for a float.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _coerce(key, value, target):
     if target is float:
-        if isinstance(value, str):
-            # YAML 1.1 keeps "1e-6" a string; accept numeric text
-            try:
-                return float(value)
-            except ValueError:
-                raise ConfigError(f"key {key!r} expects a number, "
-                                  f"got {value!r}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} expects a number, got {value!r}")
-        return float(value)
+        # YAML 1.1 keeps "1e-6" a string; numeric text is accepted
+        number = None if isinstance(value, bool) else _finite(value)
+        if number is None:
+            raise ConfigError(f"key {key!r} expects a finite number, got {value!r}")
+        return number
     if target is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"key {key!r} expects an integer, got {value!r}")
@@ -225,10 +234,9 @@ def parse_filter_spec(text):
         return ("inter_num", int(m.group(1)), int(m.group(2)))
     m = _FILTER_VALUE_RE.match(text)
     if m:
-        try:
-            value = float(m.group("value"))
-        except ValueError:
-            raise ConfigError(f"filter {text!r}: value must be numeric") from None
+        value = _finite(m.group("value"))
+        if value is None:
+            raise ConfigError(f"filter {text!r}: value must be a finite number")
         return ("value", m.group("field"), m.group("op"), value)
     if text.count("(") > text.count(")"):
         # a YAML flow list splits an unquoted inter_num(u,i) at its comma

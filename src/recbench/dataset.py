@@ -14,6 +14,10 @@ step so filtered-out entities do not occupy vocabulary slots.
 The row filters are :func:`filter_by_inter_num` (k-core counts) and
 :func:`filter_by_field_value` (one comparison on a float field, which a
 missing value never satisfies).
+
+Every table holds token and float fields only (``read_table`` reads past
+sequence columns), so :func:`remap_ids` encodes the token fields and
+:func:`fill_nan` imputes the float ones.
 """
 
 from __future__ import annotations
@@ -199,13 +203,6 @@ def filter_by_field_value(ds: Dataset, field_name, op, value) -> Dataset:
 # ID remapping
 
 
-def _tokens_in(column, ftype):
-    """The column's tokens in order; a missing scalar token stays ``None``."""
-    if ftype == FieldType.TOKEN:
-        return column
-    return chain.from_iterable(cell for cell in column if cell is not None)
-
-
 def remap_ids(ds: Dataset) -> Dataset:
     """Encode every token field to contiguous IDs (first occurrence first).
 
@@ -220,9 +217,8 @@ def remap_ids(ds: Dataset) -> Dataset:
     sources: dict[str, list] = {}
     for _, table in ds.tables:
         for spec in table.fields:
-            if spec.ftype.is_token:
-                sources.setdefault(spec.name, []).append(
-                    _tokens_in(table.columns[spec.name], spec.ftype))
+            if spec.ftype == FieldType.TOKEN:
+                sources.setdefault(spec.name, []).append(table.columns[spec.name])
     vocabs = {name: Vocabulary(name, chain.from_iterable(tokens))
               for name, tokens in sources.items()}
 
@@ -230,19 +226,12 @@ def remap_ids(ds: Dataset) -> Dataset:
     for attr, table in ds.tables:
         cols = dict(table.columns)
         for spec in table.fields:
-            if not spec.ftype.is_token:
+            if spec.ftype != FieldType.TOKEN:
                 continue
             vocab = vocabs[spec.name]
             raw = table.columns[spec.name]
-            if spec.ftype == FieldType.TOKEN:
-                encode = vocab.encode if None in raw else vocab.id_of.__getitem__
-                cols[spec.name] = np.fromiter(map(encode, raw), np.int64, len(raw))
-            else:
-                cols[spec.name] = [
-                    np.array([vocab.encode(t) for t in cell], dtype=np.int64)
-                    if cell is not None else np.empty(0, dtype=np.int64)
-                    for cell in raw
-                ]
+            encode = vocab.encode if None in raw else vocab.id_of.__getitem__
+            cols[spec.name] = np.fromiter(map(encode, raw), np.int64, len(raw))
         new_tables[attr] = DataTable(table.kind, table.fields, cols)
     return replace(ds, vocabs=vocabs, encoded=True, **new_tables)
 
@@ -255,10 +244,9 @@ def fill_nan(ds: Dataset) -> Dataset:
     """Impute missing values across all tables.
 
     Missing floats become the column mean over observed values; a float
-    column with no observed value is an error.  Missing sequence cells
-    become empty sequences.  Missing scalar tokens already carry the
-    padding ID 0 after :func:`remap_ids` (encoding maps them there), so
-    they need no work here.
+    column with no observed value is an error.  Missing tokens already
+    carry the padding ID 0 after :func:`remap_ids` (encoding maps them
+    there), so they need no work here.
     """
     new_tables = {}
     touched = False
@@ -266,25 +254,18 @@ def fill_nan(ds: Dataset) -> Dataset:
         cols = dict(table.columns)
         table_touched = False
         for spec in table.fields:
+            if spec.ftype != FieldType.FLOAT:
+                continue
             col = table.columns[spec.name]
-            if spec.ftype == FieldType.FLOAT:
-                nans = np.isnan(col)
-                if not nans.any():
-                    continue
-                if nans.all():
-                    raise DataError(f"column {spec.name!r} has no observed values")
-                filled = col.copy()
-                filled[nans] = col[~nans].mean()
-                cols[spec.name] = filled
-                table_touched = True
-            elif spec.ftype.is_seq:
-                if any(cell is None for cell in col):
-                    empty = (np.empty(0, dtype=np.int64)
-                             if spec.ftype == FieldType.TOKEN_SEQ and ds.encoded
-                             else () if spec.ftype == FieldType.TOKEN_SEQ
-                             else np.empty(0, dtype=np.float64))
-                    cols[spec.name] = [cell if cell is not None else empty for cell in col]
-                    table_touched = True
+            nans = np.isnan(col)
+            if not nans.any():
+                continue
+            if nans.all():
+                raise DataError(f"column {spec.name!r} has no observed values")
+            filled = col.copy()
+            filled[nans] = col[~nans].mean()
+            cols[spec.name] = filled
+            table_touched = True
         if table_touched:
             new_tables[attr] = DataTable(table.kind, table.fields, cols)
             touched = True

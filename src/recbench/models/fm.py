@@ -83,7 +83,7 @@ class FMModel(SGDModel):
                 specs = table.fields
             present, safe = rows >= 0, np.maximum(rows, 0)
             for spec in specs:
-                if spec.name == key or spec.ftype.is_seq:  # sequences take no slot
+                if spec.name == key:
                     continue
                 usable.append(spec.name)
                 if wanted is not None and spec.name not in wanted:

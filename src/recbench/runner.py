@@ -6,8 +6,10 @@ imputation, labeling, normalization), build the split per the evaluation
 setting, train the model with per-epoch validation, early stopping and
 checkpointing, evaluate the best checkpoint on the test split, and write
 ``report.txt`` / ``report.json`` / ``run.log`` plus the ``model_last`` /
-``model_best`` checkpoints into the output directory.  Every model goes
-through the same epoch loop; a closed-form model fits in its one epoch.
+``model_best`` checkpoints into the output directory.  A run that ends
+writes one ``env`` line: the last one after its report, or the one
+before the resume hint if interrupted.  Every model goes through the
+same epoch loop; a closed-form model fits in its one epoch.
 
 ``_make_evaluator`` is the one place that wires a stage (split, plan,
 candidates, history mask, value targets) into an ``Evaluator``; the run's
@@ -23,6 +25,7 @@ with bitwise-identical final parameters.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -40,6 +43,7 @@ from .metrics import metric_direction, metric_kind
 from .models import build_model, load_state, save_state
 from .protocol import (build_candidates, history_by_user, make_split,
                        parse_eval_setting)
+from .ranking import TOPK_BACKEND
 from .tables import TableKind, read_table
 
 
@@ -65,6 +69,24 @@ class RunLog:
                 handle.write(line + "\n")
         if self.echo:
             print(line)
+
+
+def _environment_line():
+    """The ``env`` record a run ends its log with.
+
+    It names the top-k backend, numpy, the BLAS build, the BLAS thread
+    count asked for through ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``
+    (``default`` if neither is set) and scipy's version, or ``unloaded``
+    if the process has not imported scipy; reading it imports nothing.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = (os.environ.get("OPENBLAS_NUM_THREADS")
+               or os.environ.get("OMP_NUM_THREADS") or "default")
+    scipy = sys.modules.get("scipy")
+    return (f"env topk_backend={TOPK_BACKEND} numpy={np.__version__} "
+            f"blas={blas.get('name')} blas_version={blas.get('version')} "
+            f"blas_threads={threads} "
+            f"scipy={scipy.__version__ if scipy else 'unloaded'}")
 
 
 def load_dataset(cfg: Config, log=None) -> ds_mod.Dataset:
@@ -261,6 +283,7 @@ def _fit(model, cfg: Config, rng, valid_scorer, state: TrainState,
             break
         if stop_after_epoch is not None and epoch >= stop_after_epoch:
             interrupted = True
+            log.write(_environment_line())
             log.write(f"interrupted after epoch {epoch}; resume from {ckpt_last}")
             break
     return losses, scores, interrupted
@@ -353,6 +376,7 @@ def _train_and_report(cfg: Config, log, stop_after_epoch=None,
     result.report_json_path.write_text(result.report.to_json(), encoding="utf-8")
     for key, value in result.report.values.items():
         log.write(f"test {key} = {value!r}")
+    log.write(_environment_line())
     return result
 
 

@@ -13,11 +13,14 @@ suffix    content
 All three share one layout: line 1 declares ``name:type`` for every field,
 each following line carries one record, fields separated by a single
 configurable character (comma by default), ``\\n`` line endings, UTF-8.
-Four field types exist: ``token`` (a discrete value kept verbatim as a
-string), ``token_seq`` (space-separated tokens), ``float`` and
-``float_seq`` (space-separated floats).  An empty cell encodes a missing
-value.  Cells must not contain the separator character; there is no
-quoting or escaping dialect.
+Two field types exist: ``token`` (a discrete value kept verbatim as a
+string) and ``float``.  RecBole's sequence tags ``token_seq`` and
+``float_seq`` are accepted in a header so that its files load, but no
+model reads a sequence: their cells count toward each line's field count
+and are never parsed, and the table holds only the token and float
+fields.  An empty cell encodes a missing value.  Cells must not contain
+the separator character; there is no quoting or escaping dialect.  A
+space cannot be the separator, as sequence cells hold spaces.
 
 :func:`read_table` parses a file column by column: after one check of
 every line's field count, all cells are split off at once and each
@@ -45,17 +48,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 class FieldType(str, Enum):
     TOKEN = "token"
-    TOKEN_SEQ = "token_seq"
     FLOAT = "float"
-    FLOAT_SEQ = "float_seq"
 
-    @property
-    def is_token(self):
-        return self in (FieldType.TOKEN, FieldType.TOKEN_SEQ)
 
-    @property
-    def is_seq(self):
-        return self in (FieldType.TOKEN_SEQ, FieldType.FLOAT_SEQ)
+# header tags whose columns read_table reads past
+SKIPPED_TAGS = ("token_seq", "float_seq")
 
 
 class TableKind(str, Enum):
@@ -81,12 +78,9 @@ class DataTable:
 
     Column storage depends on the field type:
 
-    * ``token``      list of ``str`` (``None`` = missing), or an int64
-      array once the table has been ID-encoded
-    * ``token_seq``  list of ``tuple[str, ...]`` (``None`` = missing), or
-      a list of int64 arrays once encoded
-    * ``float``      float64 array, NaN = missing
-    * ``float_seq``  list of float64 arrays (``None`` = missing)
+    * ``token``  list of ``str`` (``None`` = missing), or an int64 array
+      once the table has been ID-encoded
+    * ``float``  float64 array, NaN = missing
 
     Tables are immutable by convention: every transformation returns a new
     table and shares unmodified columns.
@@ -167,18 +161,7 @@ def _columns_equal(a, b):
         if a.dtype.kind == "f" or b.dtype.kind == "f":
             return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
         return bool(np.all(a == b))
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x is None or y is None:
-            if x is not y:
-                return False
-        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            if not _columns_equal(x, y):
-                return False
-        elif x != y:
-            return False
-    return True
+    return list(a) == list(b)
 
 
 def _validate_kind_shape(table: DataTable):
@@ -200,22 +183,20 @@ def _check_separator(sep):
 
 
 def _parse_header(line, sep, where):
-    parts = line.split(sep)
-    fields = []
-    for part in parts:
+    """The header's fields in column order; ``None`` marks a skipped column."""
+    fields, names = [], []
+    for part in line.split(sep):
         name, colon, tag = part.rpartition(":")
         if not colon or not name:
             raise TableFileError(f"{where}: malformed header entry {part!r} "
                                  "(expected name:type)")
         try:
-            ftype = FieldType(tag)
+            fields.append(None if tag in SKIPPED_TAGS else FieldSpec(name, FieldType(tag)))
         except ValueError:
             raise TableFileError(f"{where}: unknown type tag {tag!r} in {part!r}") from None
-        try:
-            fields.append(FieldSpec(name, ftype))
         except TableFileError as exc:
             raise TableFileError(f"{where}: {exc}") from None
-    names = [f.name for f in fields]
+        names.append(name)
     if len(set(names)) != len(names):
         raise TableFileError(f"{where}: duplicate field name in header")
     return fields
@@ -232,17 +213,9 @@ def _parse_float(text, where):
 
 
 def _parse_cell(text, ftype, where):
-    if text == "":
-        if ftype == FieldType.FLOAT:
-            return math.nan
-        return None
     if ftype == FieldType.TOKEN:
-        return text
-    if ftype == FieldType.TOKEN_SEQ:
-        return tuple(text.split())
-    if ftype == FieldType.FLOAT:
-        return _parse_float(text, where)
-    return np.array([_parse_float(t, where) for t in text.split()], dtype=np.float64)
+        return text or None
+    return _parse_float(text, where) if text else math.nan
 
 
 def read_table(path, kind, sep=",") -> DataTable:
@@ -251,7 +224,7 @@ def read_table(path, kind, sep=",") -> DataTable:
     Raises :class:`TableFileError` for a malformed header, an unknown type
     tag, a row with the wrong field count (the message names the line), or
     non-numeric text in a float field.  Row order is preserved; missing
-    cells become explicit missing markers.
+    cells become explicit missing markers.  Sequence columns are read past.
     """
     _check_separator(sep)
     kind = TableKind(kind)
@@ -270,7 +243,7 @@ def read_table(path, kind, sep=",") -> DataTable:
     except (ValueError, TableFileError):
         _raise_first_fault(body, fields, sep, path)
         raise
-    return DataTable(kind, fields, columns)
+    return DataTable(kind, [f for f in fields if f is not None], columns)
 
 
 def _body_lines(body):
@@ -297,6 +270,8 @@ def _parse_columns(body, fields, sep, path):
     del joined
     columns = {}
     for j, f in enumerate(fields):
+        if f is None:
+            continue
         col = cells[j::nf]
         if f.ftype == FieldType.FLOAT:
             if "" in col:
@@ -305,10 +280,8 @@ def _parse_columns(body, fields, sep, path):
             if np.isinf(values).any():
                 raise ValueError("non-finite float")
             columns[f.name] = values
-        elif f.ftype == FieldType.TOKEN:
-            columns[f.name] = [c or None for c in col] if "" in col else col
         else:
-            columns[f.name] = [_parse_cell(c, f.ftype, path) for c in col]
+            columns[f.name] = [c or None for c in col] if "" in col else col
     return columns
 
 
@@ -320,7 +293,8 @@ def _raise_first_fault(body, fields, sep, path):
             raise TableFileError(
                 f"{path}:{lineno}: expected {len(fields)} fields, got {len(cells)}")
         for f, cell in zip(fields, cells):
-            _parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}")
+            if f is not None:
+                _parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}")
 
 
 def _format_float(value):
@@ -334,22 +308,13 @@ def _format_float(value):
 def _format_cell(value, ftype, sep, where):
     if value is None:
         return ""
-    if ftype == FieldType.TOKEN:
-        text = str(value)
-        if sep in text or "\n" in text or "\r" in text:
-            raise TableFileError(f"{where}: token {text!r} contains the separator "
-                                 "or a newline; cells cannot be escaped")
-        return text
-    if ftype == FieldType.TOKEN_SEQ:
-        parts = [str(v) for v in value]
-        for part in parts:
-            if not part or sep in part or " " in part or "\n" in part or "\r" in part:
-                raise TableFileError(f"{where}: sequence element {part!r} is empty or "
-                                     "contains a delimiter")
-        return " ".join(parts)
     if ftype == FieldType.FLOAT:
         return _format_float(float(value))
-    return " ".join(_format_float(float(v)) for v in value)
+    text = str(value)
+    if sep in text or "\n" in text or "\r" in text:
+        raise TableFileError(f"{where}: token {text!r} contains the separator "
+                             "or a newline; cells cannot be escaped")
+    return text
 
 
 def write_table(table: DataTable, path, sep=","):

@@ -45,6 +45,16 @@ class TestConvert:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
+    def test_sequence_type_is_one_error_line(self, tmp_path):
+        src = tmp_path / "r.csv"
+        src.write_text("a,b,x\n1,2,p q\n", encoding="utf-8")
+        out = tmp_path / "x.inter"
+        proc = run_cli("convert", "--input", str(src), "--kind", "inter",
+                       "--map", "a=user_id:token,b=item_id:token,x=y:token_seq",
+                       "--out", str(out))
+        _assert_one_error_line(proc, "unknown type 'token_seq' (expected token or float)")
+        assert not out.exists()
+
 
 class TestRun:
     def _run_toy(self, out_dir, *extra):
@@ -70,6 +80,22 @@ class TestRun:
         for name in ("report.txt", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_run_logs_differ_only_in_times_and_paths(self, tmp_path):
+        logs = []
+        for name in ("a", "b"):
+            assert self._run_toy(tmp_path / name).returncode == 0
+            text = (tmp_path / name / "run.log").read_text(encoding="utf-8")
+            text = text.replace(str(tmp_path / name), "<out>").replace(TOY, "<toy>")
+            logs.append([line.split(" | ", 1)[1] for line in text.splitlines()])
+        assert logs[0] == logs[1]
+        # a popularity run, in a process of its own, never loads scipy
+        env = [line for line in logs[0] if line.startswith("env ")]
+        assert env == [logs[0][-1]]
+        assert "topk_backend=numpy " in env[0] and env[0].endswith(" scipy=unloaded")
+        for name in ("report.txt", "report.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
     def test_config_file_plus_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -152,6 +178,21 @@ class TestRun:
                                                              override, key):
         proc = self._run_toy(tmp_path / "out", "--set", override)
         _assert_one_error_line(proc, key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, text", [
+        ("train.learning_rate=.nan", "'train.learning_rate' expects a finite number"),
+        ("ease.l2=.nan", "'ease.l2' expects a finite number"),
+        ("itemknn.shrink=.inf", "'itemknn.shrink' expects a finite number"),
+        ("split_ratios=[.nan,0.5,0.5]", "'split_ratios' expects a finite number"),
+        ("label_threshold=1e400", "'label_threshold' expects a finite number"),
+        ('filters=["rating==nan"]', "value must be a finite number"),
+        ('filters=["rating!=nan"]', "value must be a finite number"),
+        ('filters=["rating>=1e400"]', "value must be a finite number"),
+    ])
+    def test_non_finite_number_is_one_error_line(self, tmp_path, override, text):
+        proc = self._run_toy(tmp_path / "out", "--set", override)
+        _assert_one_error_line(proc, text)
         assert not (tmp_path / "out").exists()
 
     def test_filter_on_a_token_field_is_one_error_line(self, tmp_path):

@@ -1,6 +1,7 @@
 """Configuration resolution, precedence, and validation."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -74,6 +75,10 @@ class TestValidation:
         assert parse_filter_spec("inter_num(5,2)") == ("inter_num", 5, 2)
         with pytest.raises(ConfigError):
             parse_filter_spec("rating ~ 3")
+        for text in ("rating==nan", "rating!=nan", "rating>=inf", "rating<-inf",
+                     "rating>1e400", "rating<=NaN"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_filter_spec(text)
 
     def test_nested_mapping_rejected(self, tmp_path):
         path = _write_cfg(tmp_path, "inter_path: d\ntrain:\n  epochs: 3\n")
@@ -202,6 +207,10 @@ class TestSchemaPin:
         ("valid_metric", 3), ("topk", [2.5]), ("split_ratios", ["x", 1, 1]),
         ("metrics", "recall"), ("train.epochs", True), ("train.loss", 1),
         ("itemknn.k", 1.0), ("fm.fields", "user_id"),
+        ("train.learning_rate", math.nan), ("ease.l2", math.nan),
+        ("itemknn.shrink", math.inf), ("split_ratios", [math.nan, 0.5, 0.5]),
+        ("label_threshold", "1e400"), ("label_threshold", -math.inf),
+        ("train.l2", 10**400),
     ])
     def test_wrong_type_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

@@ -227,19 +227,6 @@ class TestRemapIds:
         assert ds.vocabs["item_id"].token_of == [PAD_TOKEN, "x", "y", "z", "w"]
         assert ds.vocabs["genre"].token_of == [PAD_TOKEN, "g3", "g1", "g2"]
 
-    def test_token_seq_encoding_round_trip(self):
-        table = DataTable(TableKind.INTER,
-                          [FieldSpec("user_id", FieldType.TOKEN),
-                           FieldSpec("item_id", FieldType.TOKEN),
-                           FieldSpec("review", FieldType.TOKEN_SEQ)],
-                          {"user_id": ["a", "b"], "item_id": ["x", "y"],
-                           "review": [("good", "fun"), None]})
-        ds = remap_ids(Dataset.build(table))
-        vocab = ds.vocabs["review"]
-        encoded = ds.inter.columns["review"]
-        assert [vocab.decode(t) for t in encoded[0]] == ["good", "fun"]
-        assert len(encoded[1]) == 0  # missing cell -> empty sequence
-
 
 class TestFillNan:
     def test_mean_imputation(self):

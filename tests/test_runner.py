@@ -172,6 +172,16 @@ class TestResume:
         assert (tmp_path / "straight" / "report.txt").read_bytes() == \
             (tmp_path / "resumed" / "report.txt").read_bytes()
 
+    def test_interrupted_run_logs_env_before_the_resume_hint(self, tmp_path):
+        inter = _write_planted(tmp_path, n_users=30, n_items=20,
+                               top_frac=0.1, seed=6)
+        run = run_experiment(_bpr_config(tmp_path, inter, "cut", epochs=3),
+                             stop_after_epoch=1)
+        messages = [line.split(" | ", 1)[1] for line in
+                    (run.out_dir / "run.log").read_text().splitlines()]
+        assert [m.split(" ")[0] for m in messages[-2:]] == ["env", "interrupted"]
+        assert sum(m.startswith("env ") for m in messages) == 1
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         class DiskFull:
             shape = (3,)
@@ -253,6 +263,56 @@ class TestResume:
                        "metrics=[recall, ndcg]", "topk=[5]",
                        "seed=3", "train.seed=3"])
         assert forced.report is not None
+
+
+def _write_ml1m_layout(directory, with_sequences, seed=11):
+    """``ml.inter``/``ml.user``/``ml.item`` in RecBole's ml-1m layout (tabs).
+
+    ``with_sequences`` adds the item table's ``movie_title`` and ``genre``
+    sequence columns; every other cell is the same either way.
+    """
+    rand = np.random.default_rng(seed)
+    directory.mkdir()
+    inter = ["user_id:token\titem_id:token\trating:float\ttimestamp:float"]
+    t = 978300000
+    for u in range(1, 41):
+        for i in rand.choice(np.arange(1, 61), size=int(rand.integers(6, 15)),
+                             replace=False):
+            t += int(rand.integers(1, 90))
+            inter.append(f"{u}\t{i}\t{rand.integers(1, 6)}\t{t}")
+    user = ["user_id:token\tage:token\tgender:token\toccupation:token\tzip_code:token"]
+    user += [f"{u}\t{rand.choice([1, 18, 25, 35])}\t{rand.choice(['F', 'M'])}\t"
+             f"{rand.integers(0, 21)}\t{rand.integers(10000, 99999)}" for u in range(1, 41)]
+    genres = ["Animation", "Children's", "Comedy", "Film-Noir", "Sci-Fi"]
+    item = ["item_id:token\tmovie_title:token_seq\trelease_year:token\tgenre:token_seq"]
+    for i in range(1, 61):
+        title = rand.choice(["Toy Story", "American President, The", "Heat", ""])
+        genre = " ".join(rand.choice(genres, size=int(rand.integers(0, 3)), replace=False))
+        item.append(f"{i}\t{title}\t{rand.integers(1930, 2001)}\t{genre}")
+    if not with_sequences:
+        item = ["\t".join(line.split("\t")[::2]) for line in item]
+    for suffix, lines in (("inter", inter), ("user", user), ("item", item)):
+        (directory / f"ml.{suffix}").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestRecBoleLayout:
+    def test_sequence_columns_leave_the_run_unchanged(self, tmp_path, monkeypatch):
+        runs = []
+        for name, with_sequences in (("seq", True), ("plain", False)):
+            _write_ml1m_layout(tmp_path / name, with_sequences)
+            monkeypatch.chdir(tmp_path / name)
+            run_experiment(load_config(None, [
+                "inter_path=ml.inter", "user_path=ml.user", "item_path=ml.item",
+                "separator=\t", "model=fm", "label_source=rating",
+                "label_threshold=4", "metrics=[recall, ndcg]", "topk=[5]",
+                "valid_metric=ndcg@5", "train.epochs=2", "train.embedding_dim=8",
+                "out_dir=run"]))
+            runs.append({f: (tmp_path / name / "run" / f).read_bytes()
+                         for f in ("report.txt", "report.json",
+                                   "model_best.ckpt", "model_last.ckpt")})
+        assert "movie_title:token_seq" in (tmp_path / "seq" / "ml.item").read_text()
+        assert "token_seq" not in (tmp_path / "plain" / "ml.item").read_text()
+        assert runs[0] == runs[1]
 
 
 class TestOtherModels:
