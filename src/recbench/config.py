@@ -1,7 +1,7 @@
 """Experiment configuration.
 
-Config files are flat ``key: value`` lines (a YAML subset) with dotted
-keys for nesting, e.g.::
+Config files are flat ``key: value`` lines with dotted keys for nesting,
+e.g.::
 
     inter_path: data/ml.inter
     model: bpr
@@ -10,6 +10,11 @@ keys for nesting, e.g.::
     metrics: [recall, ndcg]
     topk: [5, 10]
     filters: ["rating>=3.0", "inter_num(5,5)"]
+
+Values are a YAML subset, read without a YAML library: plain scalars,
+``'...'``/``"..."`` strings without escapes and one-line ``[...]`` lists, with
+``#`` comments.  Plain scalars read as in YAML 1.1 (``1e-3`` a string, ``yes``
+True, ``~`` None); the rest, a repeated key too, is an error naming the line.
 
 Precedence is built-in defaults < config file < command-line overrides.
 The dataclass defaults are the schema: a key's value must have the type
@@ -30,8 +35,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields, replace
-
-import yaml
 
 from .errors import ConfigError
 from .models import MODEL_PARAM_SCHEMA, MODEL_REGISTRY
@@ -96,6 +99,9 @@ class Config:
 _DEFAULTS = {f.name: f.default for f in dc_fields(Config)
              if f.name not in ("model_params", "train")}
 _TRAIN_DEFAULTS = {f.name: f.default for f in dc_fields(TrainConfig)}
+# the other targets: what an error calls them, and the types they take
+_TARGETS = {int: ("an integer", int), bool: ("a boolean", bool),
+            str: ("a string", str), list: ("a list", (list, tuple))}
 
 
 def _finite(value):
@@ -113,28 +119,15 @@ def _finite(value):
 
 def _coerce(key, value, target):
     if target is float:
-        # YAML 1.1 keeps "1e-6" a string; numeric text is accepted
+        # a plain 1e-6 (no dot) reads as a string; numeric text is accepted
         number = None if isinstance(value, bool) else _finite(value)
         if number is None:
             raise ConfigError(f"key {key!r} expects a finite number, got {value!r}")
         return number
-    if target is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key {key!r} expects an integer, got {value!r}")
-        return int(value)
-    if target is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"key {key!r} expects a boolean, got {value!r}")
-        return value
-    if target is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"key {key!r} expects a string, got {value!r}")
-        return value
-    if target is list:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"key {key!r} expects a list, got {value!r}")
-        return list(value)
-    return value
+    name, types = _TARGETS[target]
+    if not isinstance(value, types) or (target is int and isinstance(value, bool)):
+        raise ConfigError(f"key {key!r} expects {name}, got {value!r}")
+    return list(value) if target is list else value
 
 
 def _coerce_like(key, value, default):
@@ -168,22 +161,66 @@ def _apply_key(cfg: Config, key, value) -> Config:
     return replace(cfg, model_params=params)
 
 
+# A value: empty, a scalar or a one-line [a, "b", 3] list, then a comment.  A
+# quoted scalar takes no backslash.  A plain one takes no quote, bracket, brace
+# or '#', a colon only before another of its characters, and in a list no ','
+# or '?'; nor does it start as a YAML 1.1 octal, binary, hex or base-60 number,
+# a date, '=', '<<' or '...' would, which YAML reads otherwise.
+_QUOTED = r"""'(?:[^']|'')*'|"[^"\\]*\""""
+_FIRST = r"(?![-+]?0[\dbx_]|[-+]?\d[\d_]*:|\d{4}-|=|<<|\.\.\.)-?[^-\s'\"#:\[\]{},&*!|>%@`?]"
+_CHAR, _ITEM_CHAR = (rf"(?:{c}|:(?={c}))" for c in (r"[^\s'\"#:\[\]{}]", r"[^\s'\"#:\[\]{},?]"))
+_ITEM = rf"{_QUOTED}|{_FIRST}{_ITEM_CHAR}*(?: +{_ITEM_CHAR}+)*"
+_VALUE_RE = re.compile(rf" *(?:(?P<scalar>{_QUOTED}|{_FIRST}{_CHAR}*(?: +{_CHAR}+)*)|\[(?P<items>"
+                       rf" *(?:(?:{_ITEM}) *, *)*(?:(?:{_ITEM}) *)?)\])? *(?:(?<![^ ])#.*)?")
+_ITEM_RE, _LINE_RE = re.compile(_ITEM), re.compile(r"(?P<key>[A-Za-z_][\w.]*):(?: (?P<raw>.*))?")
+_INT_RE = re.compile(r"[-+]?(?:0|[1-9][\d_]*)")
+_FLOAT_RE = re.compile(r"[-+]?\d[\d_]*\.[\d_]*(?:[eE][-+]\d+)?|\.\d[\d_]*(?:[eE][-+]\d+)?"
+                       r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)")
+_WORDS = dict.fromkeys(("", "~", "null", "Null", "NULL")) | {
+    form: word in ("yes", "true", "on") for word in ("yes", "no", "true", "false", "on", "off")
+    for form in (word, word.title(), word.upper())}
+
+
+def _scalar(text):
+    """A scalar of the subset, as YAML 1.1 reads it."""
+    if text[:1] in ("'", '"'):
+        return text[1:-1].replace("''", "'") if text[0] == "'" else text[1:-1]
+    if text in _WORDS:
+        return _WORDS[text]
+    if _INT_RE.fullmatch(text):
+        return int(text.replace("_", ""))
+    if _FLOAT_RE.fullmatch(text):  # .inf and .nan lose their dot
+        return float(re.sub(r"\.(?=[iInN])", "", text.replace("_", "")))
+    return text
+
+
+def _read_value(raw, where):
+    match = _VALUE_RE.fullmatch(raw) if raw.replace("\t", " ").isprintable() else None
+    if match is None:
+        raise ConfigError(f"{where}: cannot read {raw!r} (outside the flat config subset)")
+    if match["items"] is None:
+        return _scalar(match["scalar"] or "")
+    return [_scalar(item) for item in _ITEM_RE.findall(match["items"])]
+
+
 def _load_flat_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be flat key: value lines")
-    for key, value in data.items():
-        if isinstance(value, dict):
-            raise ConfigError(f"config key {key!r} nests a mapping; "
-                              "use dotted keys instead")
+    data, seen = {}, {}
+    for lineno, line in enumerate(lines, start=1):
+        where, match = f"config {path}:{lineno}", _LINE_RE.fullmatch(line)
+        if line.lstrip(" ")[:1] in ("", "#") and line.replace("\t", " ").isprintable():
+            continue  # blank or a comment (YAML would end one at a '\x85' and read on)
+        if match is None:
+            raise ConfigError(f"{where}: an indented line nests a mapping; use dotted keys "
+                              "instead" if line[:1] == " " else
+                              f"{where}: expected 'key: value', got {line!r}")
+        if (key := match["key"]) in data:
+            raise ConfigError(f"{where}: duplicate key {key!r} (first set on line {seen[key]})")
+        data[key], seen[key] = _read_value(match["raw"] or "", where), lineno
     return data
 
 
@@ -192,11 +229,9 @@ def parse_override(text):
     key, eq, raw = text.partition("=")
     if not eq or not key:
         raise ConfigError(f"override {text!r} is not of the form key=value")
-    try:
-        value = yaml.safe_load(raw) if raw != "" else ""
-    except yaml.YAMLError:
-        value = raw
-    return key.strip(), value
+    if not raw.strip("\t"):  # "" and a tab separator (no YAML either) stay verbatim
+        return key.strip(), raw
+    return key.strip(), _read_value(raw, f"override {text!r}")
 
 
 def load_config(path=None, overrides=()) -> Config:

@@ -236,14 +236,20 @@ def user_index(users, values, width):
     are ``values[indptr[i]:indptr[i + 1]]``.  One sort of the keys
     ``user * width + value`` groups, orders and de-duplicates them.
     """
-    keys = np.asarray(users, dtype=np.int64) * width
-    keys += values
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = sorted_distinct(np.asarray(users, dtype=np.int64) * width + values)
     owners = keys // width
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     keys -= owners * width
     return owners[starts], np.append(starts, len(keys)), keys
+
+
+def sorted_distinct(keys, kind=None):
+    """The sorted distinct entries of non-negative int64 ``keys``, sorted in
+    place (by ``kind``) unless one pass finds them strictly increasing."""
+    if np.any(keys[1:] <= keys[:-1]):
+        keys.sort(kind=kind)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    return keys
 
 
 def in_sorted(keys, query):
@@ -434,10 +440,9 @@ def build_candidates(ds: Dataset, split: SplitResult, mode, seed=0,
         # base + item keys of the draws, then of the positives: two ascending
         # runs (one per call when a user has several), which a stable sort
         # merges in about linear time; draws for two positives may repeat
-        keys = np.concatenate([sets.ravel(), items[ptr[a]:ptr[b]]
-                               + np.repeat(base, counts[a:b])])
-        keys.sort(kind="stable")
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = sorted_distinct(np.concatenate([sets.ravel(), items[ptr[a]:ptr[b]]
+                                               + np.repeat(base, counts[a:b])]),
+                               kind="stable")
         at = np.searchsorted(keys, np.append(base, base[-1] + n_items))
         keys -= np.repeat(base, np.diff(at))
         at = at.tolist()

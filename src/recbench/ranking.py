@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _topk_np
 from .errors import EvalError
-from .protocol import in_sorted
+from .protocol import in_sorted, sorted_distinct
 
 NEG_INF = -np.inf
 
@@ -209,7 +209,7 @@ def positive_hits(topk, positives, n_items) -> HitMatrix:
     rows, items = row_cells(positives)
     if len(items) and (items.min() < 0 or items.max() >= n_items):
         raise EvalError(f"positive item ID out of range for {n_items} items")
-    keys = np.unique(rows * n_items + items.astype(np.int64))
+    keys = sorted_distinct(rows * n_items + items.astype(np.int64))
     pos_counts = np.bincount(keys // n_items, minlength=n).astype(np.int64)
     query = np.arange(n, dtype=np.int64)[:, None] * n_items + topk
     return HitMatrix(in_sorted(keys, query).astype(np.int8), pos_counts)

@@ -256,6 +256,32 @@ class TestRun:
         assert head_a != head_b  # config hash reflects the seed
 
 
+class TestConfigFileErrors:
+    """A config file outside the flat subset is one ``error:`` line."""
+
+    @pytest.mark.parametrize("body, text", [
+        ("seed: 1\nmodel: popularity\nseed: 2\n",
+         ":3: duplicate key 'seed' (first set on line 1)"),
+        ("train:\n  epochs: 3\n", ":2: an indented line nests a mapping; use dotted keys"),
+        ("model bpr\n", ":1: expected 'key: value', got 'model bpr'"),
+        ("metrics: [recall, ndcg\n", ":1: cannot read '[recall, ndcg'"),
+    ])
+    def test_bad_file_is_one_error_line(self, tmp_path, body, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(body, encoding="utf-8")
+        proc = run_cli("run", "--config", str(cfg), "--set", f"inter_path={TOY}",
+                       "--set", f"out_dir={tmp_path / 'out'}", "--quiet")
+        _assert_one_error_line(proc, f"config {cfg}{text}")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_is_one_error_line(self, tmp_path):
+        cfg = tmp_path / "absent.yaml"
+        proc = run_cli("run", "--config", str(cfg), "--set", f"inter_path={TOY}",
+                       "--set", f"out_dir={tmp_path / 'out'}", "--quiet")
+        _assert_one_error_line(proc, f"cannot read config {cfg}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestResumeCli:
     @staticmethod
     def _run_args(out):
@@ -443,7 +469,8 @@ for model, out in zip(sys.argv[2::2], sys.argv[3::2]):
         "run", "--set", f"inter_path={sys.argv[1]}", "--set", f"model={model}",
         "--set", f"out_dir={out}", "--set", "metrics=[recall]", "--set", "topk=[5]",
         "--set", "valid_metric=recall@5", "--set", "train.epochs=2", "--quiet"])
-    loaded[model] = [code, "scipy" in sys.modules, "scipy.sparse" in sys.modules]
+    loaded[model] = [code, "scipy" in sys.modules, "scipy.sparse" in sys.modules,
+                     "yaml" in sys.modules, "numpy.ma" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -462,6 +489,10 @@ class TestLazyScipy:
         # popularity first, in a fresh process: scipy is still unloaded;
         # BPR's few logistic values take no scipy either, ItemKNN's sparse
         # matrix loads scipy.sparse
-        assert json.loads(proc.stdout.splitlines()[-1]) == {
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert {model: flags[:3] for model, flags in loaded.items()} == {
             "popularity": [0, False, False], "bpr": [0, False, False],
             "itemknn": [0, True, True]}
+        # nor do the config reader and the full-ranking hit lookup
+        # (positive_hits) load PyYAML or numpy.ma; scipy.sparse loads numpy.ma
+        assert loaded["popularity"][3:] == loaded["bpr"][3:] == [False, False]
