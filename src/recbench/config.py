@@ -215,8 +215,8 @@ def _load_flat_file(path):
         if line.lstrip(" ")[:1] in ("", "#") and line.replace("\t", " ").isprintable():
             continue  # blank or a comment (YAML would end one at a '\x85' and read on)
         if match is None:
-            raise ConfigError(f"{where}: an indented line nests a mapping; use dotted keys "
-                              "instead" if line[:1] == " " else
+            raise ConfigError(f"{where}: an indented line nests a mapping or a list; use "
+                              "dotted keys and [a, b] lists" if line[:1] == " " else
                               f"{where}: expected 'key: value', got {line!r}")
         if (key := match["key"]) in data:
             raise ConfigError(f"{where}: duplicate key {key!r} (first set on line {seen[key]})")

@@ -262,7 +262,8 @@ class TestConfigFileErrors:
     @pytest.mark.parametrize("body, text", [
         ("seed: 1\nmodel: popularity\nseed: 2\n",
          ":3: duplicate key 'seed' (first set on line 1)"),
-        ("train:\n  epochs: 3\n", ":2: an indented line nests a mapping; use dotted keys"),
+        ("train:\n  epochs: 3\n", ":2: an indented line nests a mapping or a list; use dotted"),
+        ("metrics:\n  - recall\n", ":2: an indented line nests a mapping or a list; use dotted"),
         ("model bpr\n", ":1: expected 'key: value', got 'model bpr'"),
         ("metrics: [recall, ndcg\n", ":1: cannot read '[recall, ndcg'"),
     ])
