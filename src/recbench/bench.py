@@ -83,7 +83,8 @@ def bench_eval(n_users, n_items, k=10, repeats=10, seed=0,
         raise EvalError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n_users, n_items))
-    pos_counts = rng.integers(1, 6, size=n_users)
+    # at most n_items - 1 distinct positives: item 0 is padding
+    pos_counts = np.minimum(rng.integers(1, 6, size=n_users), n_items - 1)
     positives = [rng.choice(np.arange(1, n_items), size=c, replace=False)
                  for c in pos_counts]
     model = FixedScores(scores)

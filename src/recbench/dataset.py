@@ -16,14 +16,15 @@ The row filters are :func:`filter_by_inter_num` (k-core counts) and
 missing value never satisfies).
 
 Every table holds token and float fields only (``read_table`` reads past
-sequence columns), so :func:`remap_ids` encodes the token fields and
-:func:`fill_nan` imputes the float ones.
+sequence columns).  A token column has one form from the parse on: int64
+codes, 0 for a missing cell, plus the column's token list.  Filters
+select code rows, :func:`remap_ids` relabels the codes into one
+vocabulary per field name, and :func:`fill_nan` imputes the float fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated tables plus vocabularies; immutable after build."""
+    """Validated tables plus vocabularies; immutable after build.  Token
+    columns are int64 codes, 0 = missing, and IDs into ``vocabs`` once encoded."""
 
     inter: DataTable
     user_feat: DataTable | None = None
@@ -89,6 +91,9 @@ class Dataset:
             raise DataError(f"user table lacks the {user_field!r} field")
         if item_feat is not None and not item_feat.has_field(item_field):
             raise DataError(f"item table lacks the {item_field!r} field")
+        missing = np.count_nonzero(inter.columns[user_field] == PAD_ID)
+        if missing:
+            raise DataError(f"field {user_field!r} is missing in {missing} interaction rows")
         return cls(inter, user_feat, item_feat, user_field, item_field)
 
     @property
@@ -124,16 +129,6 @@ class Dataset:
 # row filtering
 
 
-def _factorize(column):
-    """Map a token column (raw or encoded) to dense codes 0..n-1."""
-    if isinstance(column, np.ndarray):
-        uniq, codes = np.unique(column, return_inverse=True)
-        return codes, len(uniq)
-    unique = dict.fromkeys(column)
-    code_of = dict(zip(unique, range(len(unique))))
-    return np.fromiter(map(code_of.__getitem__, column), np.int64, len(column)), len(unique)
-
-
 def filter_by_inter_num(ds: Dataset, min_user=0, min_item=0) -> Dataset:
     """Drop users/items with too few interactions, iterated to a fixpoint.
 
@@ -144,22 +139,16 @@ def filter_by_inter_num(ds: Dataset, min_user=0, min_item=0) -> Dataset:
     """
     if min_user < 0 or min_item < 0:
         raise DataError("interaction-count thresholds must be >= 0")
-    u_codes, _ = _factorize(ds.inter.columns[ds.user_field])
-    i_codes, _ = _factorize(ds.inter.columns[ds.item_field])
+    # the token codes are the groups; code 0, a missing cell, is one of them
+    groups = [(ds.inter.columns[name], len(ds.inter.tokens[name]) + 1, least)
+              for name, least in ((ds.user_field, min_user), (ds.item_field, min_item))
+              if least > 0]
     keep = np.ones(len(ds.inter), dtype=bool)
     changed = True
     while changed:
         changed = False
-        if min_user > 0:
-            counts = np.bincount(u_codes[keep], minlength=u_codes.max() + 1 if len(u_codes) else 1)
-            bad = counts[u_codes] < min_user
-            bad &= keep
-            if bad.any():
-                keep &= ~bad
-                changed = True
-        if min_item > 0:
-            counts = np.bincount(i_codes[keep], minlength=i_codes.max() + 1 if len(i_codes) else 1)
-            bad = counts[i_codes] < min_item
+        for codes, n_codes, least in groups:
+            bad = np.bincount(codes[keep], minlength=n_codes)[codes] < least
             bad &= keep
             if bad.any():
                 keep &= ~bad
@@ -204,35 +193,41 @@ def filter_by_field_value(ds: Dataset, field_name, op, value) -> Dataset:
 
 
 def remap_ids(ds: Dataset) -> Dataset:
-    """Encode every token field to contiguous IDs (first occurrence first).
+    """Relabel every token field to contiguous IDs (first occurrence first).
 
     A token field's vocabulary is keyed by its name: every column of that
     name, in any table, shares it, and its tokens are taken in table
-    order (``.inter``, then ``.user``, then ``.item``).  So an item that
-    only the item table holds still gets an ID.  Missing tokens encode to
-    the padding ID 0.  Returns ``ds`` unchanged if it is already encoded.
+    order (``.inter``, then ``.user``, then ``.item``), each column's in
+    the order of their first kept row.  So an item that only the item
+    table holds still gets an ID, and a token that filtering dropped gets
+    none.  Missing tokens keep code 0, the padding ID.  Each encoded
+    column's token list is its vocabulary's ``token_of[1:]``.  Returns
+    ``ds`` unchanged if it is already encoded.
     """
     if ds.encoded:
         return ds
-    sources: dict[str, list] = {}
-    for _, table in ds.tables:
-        for spec in table.fields:
-            if spec.ftype == FieldType.TOKEN:
-                sources.setdefault(spec.name, []).append(table.columns[spec.name])
-    vocabs = {name: Vocabulary(name, chain.from_iterable(tokens))
-              for name, tokens in sources.items()}
+    # each token column's present codes, in order of their first kept row
+    present, sources = {}, {}
+    for attr, table in ds.tables:
+        for name, tokens in table.tokens.items():
+            col = table.columns[name]
+            first = np.full(len(tokens) + 1, len(col))
+            np.minimum.at(first, col, np.arange(len(col)))
+            first[PAD_ID] = len(col)  # a missing cell gets no ID
+            codes = np.argsort(first, kind="stable")[:np.count_nonzero(first < len(col))]
+            present[attr, name] = codes
+            sources.setdefault(name, []).extend(tokens[c - 1] for c in codes.tolist())
+    vocabs = {name: Vocabulary(name, tokens) for name, tokens in sources.items()}
 
     new_tables = {}
     for attr, table in ds.tables:
-        cols = dict(table.columns)
-        for spec in table.fields:
-            if spec.ftype != FieldType.TOKEN:
-                continue
-            vocab = vocabs[spec.name]
-            raw = table.columns[spec.name]
-            encode = vocab.encode if None in raw else vocab.id_of.__getitem__
-            cols[spec.name] = np.fromiter(map(encode, raw), np.int64, len(raw))
-        new_tables[attr] = DataTable(table.kind, table.fields, cols)
+        cols, tokens = dict(table.columns), {}
+        for name, old_tokens in table.tokens.items():
+            codes, vocab = present[attr, name], vocabs[name]
+            new_id = np.zeros(len(old_tokens) + 1, dtype=np.int64)
+            new_id[codes] = [vocab.id_of[old_tokens[c - 1]] for c in codes.tolist()]
+            cols[name], tokens[name] = new_id[cols[name]], vocab.token_of[1:]
+        new_tables[attr] = DataTable(table.kind, table.fields, cols, tokens)
     return replace(ds, vocabs=vocabs, encoded=True, **new_tables)
 
 
@@ -244,15 +239,13 @@ def fill_nan(ds: Dataset) -> Dataset:
     """Impute missing values across all tables.
 
     Missing floats become the column mean over observed values; a float
-    column with no observed value is an error.  Missing tokens already
-    carry the padding ID 0 after :func:`remap_ids` (encoding maps them
-    there), so they need no work here.
+    column with no observed value is an error.  Missing tokens carry code
+    0 from the parse on, the padding ID after :func:`remap_ids`, so they
+    need no work here.
     """
     new_tables = {}
-    touched = False
     for attr, table in ds.tables:
-        cols = dict(table.columns)
-        table_touched = False
+        filled = {}
         for spec in table.fields:
             if spec.ftype != FieldType.FLOAT:
                 continue
@@ -262,14 +255,11 @@ def fill_nan(ds: Dataset) -> Dataset:
                 continue
             if nans.all():
                 raise DataError(f"column {spec.name!r} has no observed values")
-            filled = col.copy()
-            filled[nans] = col[~nans].mean()
-            cols[spec.name] = filled
-            table_touched = True
-        if table_touched:
-            new_tables[attr] = DataTable(table.kind, table.fields, cols)
-            touched = True
-    return replace(ds, **new_tables) if touched else ds
+            filled[spec.name] = np.where(nans, col[~nans].mean(), col)
+        if filled:
+            new_tables[attr] = DataTable(table.kind, table.fields,
+                                         {**table.columns, **filled}, table.tokens)
+    return replace(ds, **new_tables) if new_tables else ds
 
 
 def set_label_by_threshold(ds: Dataset, field_name, threshold, label_field="label") -> Dataset:
@@ -297,8 +287,7 @@ def normalize(ds: Dataset, fields) -> Dataset:
     remaining = set(fields)
     new_tables = {}
     for attr, table in ds.tables:
-        cols = dict(table.columns)
-        table_touched = False
+        scaled = {}
         for spec in table.fields:
             if spec.name not in fields:
                 continue
@@ -310,13 +299,13 @@ def normalize(ds: Dataset, fields) -> Dataset:
             if len(observed) == 0:
                 raise DataError(f"column {spec.name!r} has no observed values")
             lo, hi = observed.min(), observed.max()
-            scaled = np.zeros_like(col) if hi == lo else (col - lo) / (hi - lo)
             if hi == lo:
-                scaled[np.isnan(col)] = np.nan
-            cols[spec.name] = scaled
-            table_touched = True
-        if table_touched:
-            new_tables[attr] = DataTable(table.kind, table.fields, cols)
+                scaled[spec.name] = np.where(np.isnan(col), np.nan, 0.0)
+            else:
+                scaled[spec.name] = (col - lo) / (hi - lo)
+        if scaled:
+            new_tables[attr] = DataTable(table.kind, table.fields,
+                                         {**table.columns, **scaled}, table.tokens)
     if remaining:
         raise DataError(f"unknown field {sorted(remaining)[0]!r}")
     return replace(ds, **new_tables) if new_tables else ds

@@ -38,6 +38,9 @@ class EASEModel(ItemItemModel):
         gram = np.asarray((X.T @ X).todense(), dtype=np.float64)
         gram[np.diag_indices_from(gram)] += self.l2
         P = np.linalg.inv(gram)
-        B = np.eye(self.n_items) - P / np.diag(P)[None, :]
+        del gram
+        # B = I - P / diag(P), in P's buffer: 0.0 - x keeps the signed zeros
+        P /= np.diag(P).copy()
+        B = np.subtract(0.0, P, out=P)
         np.fill_diagonal(B, 0.0)
         return B

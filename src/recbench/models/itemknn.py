@@ -37,11 +37,15 @@ class ItemKNNModel(ItemItemModel):
         return None if self.W is None else self.W.T
 
     def _fit(self, X):
-        co = np.asarray((X.T @ X).todense(), dtype=np.float64)
-        # sqrt of the product keeps parallel item vectors at exactly 1.0
-        denom = np.sqrt(np.outer(np.diag(co), np.diag(co))) + self.shrink
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sim = np.where(denom > 0, co / denom, 0.0)
+        sim = (X.T @ X).toarray(order="C")  # C order: top-k reads it uncopied
+        # sqrt of the product keeps parallel item vectors at exactly 1.0;
+        # the division runs in place, so the fit holds two n_items² buffers
+        denom = np.outer(np.diag(sim), np.diag(sim))
+        np.sqrt(denom, out=denom)
+        denom += self.shrink
+        np.divide(sim, denom, out=sim, where=denom > 0)
+        sim[denom <= 0] = 0.0
+        del denom
         np.fill_diagonal(sim, 0.0)
         return self._prune_transposed(sim)
 

@@ -14,19 +14,23 @@ All three share one layout: line 1 declares ``name:type`` for every field,
 each following line carries one record, fields separated by a single
 configurable character (comma by default), ``\\n`` line endings, UTF-8.
 Two field types exist: ``token`` (a discrete value kept verbatim as a
-string) and ``float``.  RecBole's sequence tags ``token_seq`` and
-``float_seq`` are accepted in a header so that its files load, but no
-model reads a sequence: their cells count toward each line's field count
-and are never parsed, and the table holds only the token and float
-fields.  An empty cell encodes a missing value.  Cells must not contain
-the separator character; there is no quoting or escaping dialect.  A
-space cannot be the separator, as sequence cells hold spaces.
+string) and ``float``.  A table stores a token column in one form: int64
+codes, 0 for a missing cell, plus the column's distinct tokens in
+first-occurrence order, so code ``c`` is token ``c - 1`` of that list.
+RecBole's sequence tags ``token_seq`` and ``float_seq`` are accepted in
+a header so that its files load, but no model reads a sequence: their
+cells count toward each line's field count and are never parsed, and
+the table holds only the token and float fields.  An empty cell encodes
+a missing value.  Cells must not contain the separator character; there
+is no quoting or escaping dialect.  A space cannot be the separator, as
+sequence cells hold spaces.
 
 :func:`read_table` parses a file column by column: after one check of
 every line's field count, all cells are split off at once and each
-column is converted whole (one ``float`` map per float column).  A file
-that fails that parse is parsed again cell by cell, and that path
-reports the first fault in row-major order, with its line number.
+column is converted whole: one ``float`` map per float column and one
+:func:`_token_codes` pass per token column.  A file that fails that
+parse is parsed again cell by cell, and that path reports the first
+fault in row-major order, with its line number.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
+from itertools import count, repeat
 
 import numpy as np
 
@@ -76,17 +80,21 @@ class FieldSpec:
 class DataTable:
     """An ordered collection of named typed columns parsed from one file.
 
-    Column storage depends on the field type:
+    Every column is a numpy array:
 
-    * ``token``  list of ``str`` (``None`` = missing), or an int64 array
-      once the table has been ID-encoded
+    * ``token``  int64 codes, with the column's distinct tokens in
+      ``tokens[name]``: code ``c >= 1`` is ``tokens[name][c - 1]`` and
+      code 0 (``PAD_ID``) is a missing cell
     * ``float``  float64 array, NaN = missing
 
+    A token column whose name ``tokens`` lacks is given as its cells, a
+    list of ``str`` (``None`` or ``""`` = missing), and is encoded here;
+    a float column may be given as any sequence of floats.
     Tables are immutable by convention: every transformation returns a new
-    table and shares unmodified columns.
+    table and shares unmodified columns and token lists.
     """
 
-    def __init__(self, kind, fields, columns):
+    def __init__(self, kind, fields, columns, tokens=None):
         self.kind = TableKind(kind)
         self.fields = tuple(fields)
         names = [f.name for f in self.fields]
@@ -94,8 +102,13 @@ class DataTable:
             raise TableFileError(f"duplicate field name in {names}")
         if set(columns) != set(names):
             raise TableFileError("columns do not match the declared fields")
-        self.columns = dict(columns)
-        lengths = {len(columns[n]) for n in names} or {0}
+        self.columns, self.tokens = dict(columns), dict(tokens or {})
+        for f in self.fields:
+            if f.ftype == FieldType.FLOAT:
+                self.columns[f.name] = np.asarray(columns[f.name], dtype=np.float64)
+            elif f.name not in self.tokens:
+                self.columns[f.name], self.tokens[f.name] = _token_codes(columns[f.name])
+        lengths = {len(self.columns[n]) for n in names} or {0}
         if len(lengths) != 1:
             raise TableFileError(f"ragged columns: lengths {sorted(lengths)}")
         self.row_count = lengths.pop()
@@ -114,24 +127,22 @@ class DataTable:
     def field_names(self):
         return [f.name for f in self.fields]
 
+    def decode(self, name):
+        """The token column ``name`` as its cells: ``str``, ``None`` = missing."""
+        cells = [None, *self.tokens[name]]
+        return [cells[c] for c in self.columns[name].tolist()]
+
     def select_rows(self, indices) -> "DataTable":
         """New table keeping only ``indices``, in the given order."""
         indices = np.asarray(indices, dtype=np.intp)
-        cols = {}
-        for f in self.fields:
-            col = self.columns[f.name]
-            if isinstance(col, np.ndarray):
-                cols[f.name] = col[indices]
-            elif len(indices) > 1:
-                cols[f.name] = list(itemgetter(*indices.tolist())(col))
-            else:  # itemgetter of one index returns the bare item
-                cols[f.name] = [col[i] for i in indices]
-        return DataTable(self.kind, self.fields, cols)
+        cols = {name: col[indices] for name, col in self.columns.items()}
+        return DataTable(self.kind, self.fields, cols, self.tokens)
 
     def append_field(self, spec: FieldSpec, column) -> "DataTable":
         """New table with ``column`` added, or replacing a same-named one."""
         fields = self.fields if self.has_field(spec.name) else self.fields + (spec,)
-        return DataTable(self.kind, fields, {**self.columns, spec.name: column})
+        tokens = {n: t for n, t in self.tokens.items() if n != spec.name}
+        return DataTable(self.kind, fields, {**self.columns, spec.name: column}, tokens)
 
     def __len__(self):
         return self.row_count
@@ -144,7 +155,11 @@ class DataTable:
         if self.row_count != other.row_count:
             return False
         for f in self.fields:
-            if not _columns_equal(self.columns[f.name], other.columns[f.name]):
+            if f.ftype == FieldType.TOKEN:
+                if self.decode(f.name) != other.decode(f.name):
+                    return False
+            elif not np.array_equal(self.columns[f.name], other.columns[f.name],
+                                    equal_nan=True):
                 return False
         return True
 
@@ -153,15 +168,18 @@ class DataTable:
                 f"fields={[f'{f.name}:{f.ftype.value}' for f in self.fields]})")
 
 
-def _columns_equal(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            return False
-        if a.dtype.kind == "f" or b.dtype.kind == "f":
-            return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
-        return bool(np.all(a == b))
-    return list(a) == list(b)
+def _token_codes(cells):
+    """``(codes, tokens)`` of a token column given as its cells.
+
+    ``tokens`` lists the distinct non-missing cells in first-occurrence
+    order, and ``codes`` is the int64 array of each cell's 1-based place
+    in it, 0 for a missing (``None`` or empty) cell.  The table's only
+    encoder of token cells.
+    """
+    # one dict pass: a token seen for the first time takes the next code
+    code_of = defaultdict(count(1).__next__, {None: 0, "": 0})
+    codes = np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
+    return codes, list(code_of)[2:]
 
 
 def _validate_kind_shape(table: DataTable):
@@ -202,7 +220,11 @@ def _parse_header(line, sep, where):
     return fields
 
 
-def _parse_float(text, where):
+def _parse_cell(text, ftype, where):
+    if ftype == FieldType.TOKEN:
+        return text or None
+    if not text:
+        return math.nan
     try:
         value = float(text)
     except ValueError:
@@ -212,19 +234,13 @@ def _parse_float(text, where):
     return value  # NaN text is accepted and treated as missing
 
 
-def _parse_cell(text, ftype, where):
-    if ftype == FieldType.TOKEN:
-        return text or None
-    return _parse_float(text, where) if text else math.nan
-
-
 def read_table(path, kind, sep=",") -> DataTable:
     """Parse one table file into a :class:`DataTable`.
 
     Raises :class:`TableFileError` for a malformed header, an unknown type
     tag, a row with the wrong field count (the message names the line), or
-    non-numeric text in a float field.  Row order is preserved; missing
-    cells become explicit missing markers.  Sequence columns are read past.
+    non-numeric text in a float field.  Row order is preserved; a missing
+    cell becomes token code 0 or a NaN float.  Sequence columns are read past.
     """
     _check_separator(sep)
     kind = TableKind(kind)
@@ -276,12 +292,10 @@ def _parse_columns(body, fields, sep, path):
         if f.ftype == FieldType.FLOAT:
             if "" in col:
                 col = [c or "nan" for c in col]
-            values = np.array(list(map(float, col)), dtype=np.float64)
-            if np.isinf(values).any():
+            col = np.array(list(map(float, col)), dtype=np.float64)
+            if np.isinf(col).any():
                 raise ValueError("non-finite float")
-            columns[f.name] = values
-        else:
-            columns[f.name] = [c or None for c in col] if "" in col else col
+        columns[f.name] = col
     return columns
 
 
@@ -297,24 +311,17 @@ def _raise_first_fault(body, fields, sep, path):
                 _parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}")
 
 
-def _format_float(value):
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if math.isinf(value):
-        raise TableFileError("cannot write a non-finite float")
-    return repr(float(value))
-
-
 def _format_cell(value, ftype, sep, where):
+    if ftype == FieldType.FLOAT:
+        if math.isinf(value):
+            raise TableFileError("cannot write a non-finite float")
+        return "" if math.isnan(value) else repr(value)
     if value is None:
         return ""
-    if ftype == FieldType.FLOAT:
-        return _format_float(float(value))
-    text = str(value)
-    if sep in text or "\n" in text or "\r" in text:
-        raise TableFileError(f"{where}: token {text!r} contains the separator "
+    if sep in value or "\n" in value or "\r" in value:
+        raise TableFileError(f"{where}: token {value!r} contains the separator "
                              "or a newline; cells cannot be escaped")
-    return text
+    return value
 
 
 def write_table(table: DataTable, path, sep=","):
@@ -325,11 +332,12 @@ def write_table(table: DataTable, path, sep=","):
     """
     _check_separator(sep)
     lines = [sep.join(f"{f.name}:{f.ftype.value}" for f in table.fields)]
+    columns = [table.decode(f.name) if f.ftype == FieldType.TOKEN
+               else table.columns[f.name].tolist() for f in table.fields]
     for i in range(table.row_count):
         cells = []
-        for f in table.fields:
-            value = table.columns[f.name][i]
-            cells.append(_format_cell(value, f.ftype, sep, f"row {i} field {f.name!r}"))
+        for f, column in zip(table.fields, columns):
+            cells.append(_format_cell(column[i], f.ftype, sep, f"row {i} field {f.name!r}"))
         lines.append(sep.join(cells))
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -371,10 +379,4 @@ def convert_csv(path, mapping, kind, delimiter=",") -> DataTable:
             cell = row[pos].strip() if pos < len(row) else ""
             data[f.name].append(
                 _parse_cell(cell, f.ftype, f"{path}:{lineno} field {f.name!r}"))
-    columns = {}
-    for f in fields:
-        if f.ftype == FieldType.FLOAT:
-            columns[f.name] = np.array(data[f.name], dtype=np.float64)
-        else:
-            columns[f.name] = data[f.name]
-    return DataTable(kind, fields, columns)
+    return DataTable(kind, fields, data)

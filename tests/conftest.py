@@ -8,7 +8,7 @@ from recbench.tables import DataTable, FieldSpec, FieldType, TableKind
 
 
 def make_inter(users, items, ratings=None, timestamps=None, kind=TableKind.INTER):
-    """Raw interaction table from parallel python lists."""
+    """Interaction table from parallel python lists; the token lists are its cells."""
     fields = [FieldSpec("user_id", FieldType.TOKEN),
               FieldSpec("item_id", FieldType.TOKEN)]
     columns = {"user_id": list(users), "item_id": list(items)}
@@ -33,12 +33,11 @@ def table_digest(table):
     for spec in table.fields:
         h.update(spec.name.encode())
         h.update(spec.ftype.value.encode())
-        col = table.columns[spec.name]
-        if isinstance(col, np.ndarray):
-            h.update(np.ascontiguousarray(col).tobytes())
-        else:
-            for cell in col:
+        if spec.ftype == FieldType.TOKEN:  # decoded cells: codes and token list
+            for cell in table.decode(spec.name):
                 h.update(repr(cell).encode())
+        else:
+            h.update(np.ascontiguousarray(table.columns[spec.name]).tobytes())
     return h.hexdigest()
 
 

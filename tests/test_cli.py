@@ -119,6 +119,16 @@ class TestRun:
         assert proc.stderr.startswith("error:")
         assert "bogus" in proc.stderr
 
+    def test_missing_user_id_is_one_error_line(self, tmp_path):
+        rows = [f"u{u},i{(u * 7 + j) % 9}" for u in range(20) for j in range(4)]
+        rows += [f",i{j}" for j in range(4)]  # four rows with no user
+        inter = write_inter_file(tmp_path / "gaps.inter", rows)
+        out = tmp_path / "out"
+        proc = run_cli("run", "--set", f"inter_path={inter}", "--set", "model=popularity",
+                       "--set", f"out_dir={out}", "--eval-setting", "RO_LS,full", "--quiet")
+        _assert_one_error_line(proc, "field 'user_id' is missing in 4 interaction rows")
+        assert not (out / "report.txt").exists()
+
     def test_negative_seed_is_one_error_line(self, tmp_path):
         for override in ("seed=-1", "train.seed=-1"):
             proc = run_cli("run", "--set", f"inter_path={TOY}", "--set", override,
@@ -448,6 +458,13 @@ class TestBenchCli:
                        "--k", "5", "--repeats", "1")
         assert proc.returncode == 0, proc.stderr
         assert "speedup" in proc.stdout
+        assert "reports identical        : yes" in proc.stdout
+
+    def test_catalog_smaller_than_the_positive_draw(self):
+        # up to 5 positives per user, but only 2 real items to draw them from
+        proc = run_cli("bench", "--users", "5", "--items", "3",
+                       "--k", "1", "--repeats", "1")
+        assert proc.returncode == 0, proc.stderr
         assert "reports identical        : yes" in proc.stdout
 
     @pytest.mark.parametrize("flag, value, text", [

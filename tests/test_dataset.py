@@ -1,7 +1,12 @@
 """Dataset preprocessing operations."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recbench.dataset import (PAD_TOKEN, Dataset, fill_nan,
                               filter_by_field_value, filter_by_inter_num,
@@ -31,6 +36,18 @@ def _brute_force_kcore(pairs, min_user, min_item):
         if kept == rows:
             return rows
         rows = kept
+
+
+class TestBuild:
+    def test_missing_user_id_is_an_error(self):
+        inter = make_inter(["a", None, "b", None, None], ["x", "y", "x", "z", "x"])
+        with pytest.raises(DataError, match="field 'user_id' is missing in 3 "
+                                            "interaction rows"):
+            Dataset.build(inter)
+
+    def test_missing_item_id_is_kept(self):
+        ds = remap_ids(Dataset.build(make_inter(["a", "b"], ["x", None])))
+        assert ds.item_ids().tolist() == [1, 0]
 
 
 class TestFilterByInterNum:
@@ -214,18 +231,129 @@ class TestRemapIds:
         # reference: each name's tokens concatenated in table order
         for name in ("user_id", "item_id", "genre"):
             tokens = [t for table in tables if table.has_field(name)
-                      for t in table.columns[name] if t is not None]
+                      for t in table.decode(name) if t is not None]
             assert ds.vocabs[name].token_of == [PAD_TOKEN, *dict.fromkeys(tokens)]
         for attr, raw in zip(("inter", "user_feat", "item_feat"), tables):
             for name in raw.field_names:
                 vocab = ds.vocabs[name]
                 np.testing.assert_array_equal(
                     getattr(ds, attr).columns[name],
-                    [vocab.encode(t) for t in raw.columns[name]])
+                    [vocab.encode(t) for t in raw.decode(name)])
         # a .user column named like the item field counts before .item:
         # z precedes w
         assert ds.vocabs["item_id"].token_of == [PAD_TOKEN, "x", "y", "z", "w"]
         assert ds.vocabs["genre"].token_of == [PAD_TOKEN, "g3", "g1", "g2"]
+
+
+_TOKEN, _FLOAT = FieldType.TOKEN, FieldType.FLOAT
+# field layout per table; the .user table's item_id is a favourite item,
+# and tag is shared by .inter and .item
+_LAYOUT = {
+    "inter": (TableKind.INTER, [("user_id", _TOKEN), ("item_id", _TOKEN),
+                                ("tag", _TOKEN), ("rating", _FLOAT)]),
+    "user_feat": (TableKind.USER, [("user_id", _TOKEN), ("item_id", _TOKEN),
+                                   ("age", _FLOAT)]),
+    "item_feat": (TableKind.ITEM, [("item_id", _TOKEN), ("tag", _TOKEN)]),
+}
+_POOLS = {"user_id": [f"u{v}" for v in range(6)], "item_id": [f"i{v}" for v in range(7)],
+          "tag": [f"g{v}" for v in range(3)]}
+
+
+@st.composite
+def _raw_tables(draw):
+    """Cells of an .inter table plus optional .user and .item tables, and filters."""
+    tables = {}
+    for attr, (_, fields) in _LAYOUT.items():
+        if attr != "inter" and not draw(st.booleans()):
+            continue
+        n = draw(st.integers(1 if attr == "inter" else 0, 25))
+        cells = {}
+        for name, ftype in fields:
+            if ftype == _FLOAT:
+                value = st.one_of(st.just(math.nan), st.integers(1, 5).map(float))
+            elif attr == "inter" and name == "user_id":  # no missing user IDs
+                value = st.sampled_from(_POOLS[name])
+            else:
+                value = st.sampled_from([None, *_POOLS[name]])
+            cells[name] = draw(st.lists(value, min_size=n, max_size=n))
+        tables[attr] = cells
+    filters = draw(st.lists(st.one_of(
+        st.tuples(st.just("value"), st.integers(1, 5).map(float)),
+        st.tuples(st.just("inter_num"), st.integers(0, 3), st.integers(0, 3))), max_size=3))
+    return tables, filters
+
+
+def _list_remap_oracle(tables, filters):
+    """The list-and-dict filters and remap that code columns replaced.
+
+    Returns ``(ids, token_of)``: each table's token columns as ID lists
+    and each field name's ``Vocabulary.token_of``; ``None`` when the
+    filters empty the interactions.
+    """
+    inter = tables["inter"]
+    rows = list(range(len(inter["user_id"])))
+    for form, *args in filters:
+        if form == "value":  # rating >= value; NaN satisfies no comparison
+            rows = [r for r in rows if inter["rating"][r] >= args[0]]
+        else:  # k-core fixpoint; a missing item is a group of its own
+            while True:
+                users = Counter(inter["user_id"][r] for r in rows)
+                kept = [r for r in rows if users[inter["user_id"][r]] >= args[0]]
+                items = Counter(inter["item_id"][r] for r in kept)
+                kept = [r for r in kept if items[inter["item_id"][r]] >= args[1]]
+                if kept == rows:
+                    break
+                rows = kept
+        if not rows:
+            return None
+    tables = {**tables, "inter": {name: [col[r] for r in rows]
+                                  for name, col in inter.items()}}
+    id_of = {}
+    for attr, cells in tables.items():  # .inter, .user, .item
+        for name, ftype in _LAYOUT[attr][1]:
+            if ftype == _TOKEN:
+                vocab = id_of.setdefault(name, {})
+                for token in cells[name]:
+                    if token is not None:
+                        vocab.setdefault(token, len(vocab) + 1)
+    ids = {(attr, name): [0 if t is None else id_of[name][t] for t in cells[name]]
+           for attr, cells in tables.items()
+           for name, ftype in _LAYOUT[attr][1] if ftype == _TOKEN}
+    return ids, {name: [PAD_TOKEN, *vocab] for name, vocab in id_of.items()}
+
+
+class TestRemapAgainstListOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_tables())
+    def test_filters_then_remap(self, case):
+        tables, filters = case
+        built = {}
+        for attr, cells in tables.items():
+            kind, fields = _LAYOUT[attr]
+            columns = {name: np.array(cells[name]) if ftype == _FLOAT else cells[name]
+                       for name, ftype in fields}
+            built[attr] = DataTable(kind, [FieldSpec(n, t) for n, t in fields], columns)
+        ds = Dataset.build(built["inter"], built.get("user_feat"), built.get("item_feat"))
+        expected = _list_remap_oracle(tables, filters)
+        try:
+            for form, *args in filters:
+                if form == "value":
+                    ds = filter_by_field_value(ds, "rating", ">=", args[0])
+                else:
+                    ds = filter_by_inter_num(ds, *args)
+        except DataError as exc:
+            assert expected is None and "emptied" in str(exc)
+            return
+        ds = remap_ids(ds)
+        ids, token_of = expected
+        for (attr, name), column in ids.items():
+            got = getattr(ds, attr).columns[name]
+            assert got.dtype == np.int64 and got.tolist() == column, (attr, name)
+        assert {name: v.token_of for name, v in ds.vocabs.items()} == token_of
+        for attr, table in ds.tables:  # codes decode to the kept cells
+            for name in table.tokens:
+                assert table.decode(name) == [token_of[name][i] if i else None
+                                              for i in ids[attr, name]]
 
 
 class TestFillNan:

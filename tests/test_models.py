@@ -541,6 +541,24 @@ class TestItemItemScoring:
         # a row per pair would be n_pairs * n_items * 8 bytes = 128 MB
         assert peak < 4 * ds.n_users * ds.n_items * 8 + 100 * n_pairs, peak
 
+    @pytest.mark.parametrize("kind,params", _ITEM_ITEM)
+    def test_fit_holds_two_item_item_buffers(self, kind, params):
+        # about two items per user: the sparse co-occurrence holds about
+        # 10,000 cells, next to n_items² (about 2 million) dense ones; at
+        # this size top-k's tie-sweep blocks are small next to n_items² too
+        rng = np.random.default_rng(5)
+        ds = implicit_ds(rng, n_users=1500, n_items=1800, n_rows=3000)
+        model = build_model(kind, ds, all_rows(ds), TrainConfig(), params)
+        batch = model.train_batch()
+        import scipy.sparse  # noqa: F401  the fit's lazy import, not traced
+        tracemalloc.start()
+        try:
+            model.calculate_loss(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ds.n_items ** 2 * 8, (peak, ds.n_items)
+
 
 # ---------------------------------------------------------------------------
 # fm
@@ -859,14 +877,9 @@ class TestRowOrderInvariance:
         perm = rng.permutation(len(ds.inter))
         # same rows, shuffled file order; identical vocab via decode/rebuild
         # on the original vocabulary order
-        from recbench.dataset import Dataset, remap_ids
-        from recbench.tables import DataTable
+        from recbench.dataset import Dataset
 
-        cols = {
-            "user_id": ds.inter.columns["user_id"][perm],
-            "item_id": ds.inter.columns["item_id"][perm],
-        }
-        shuffled_inter = DataTable(ds.inter.kind, ds.inter.fields, cols)
+        shuffled_inter = ds.inter.select_rows(perm)
         shuffled = Dataset(inter=shuffled_inter, vocabs=ds.vocabs, encoded=True)
         a = fit_closed_form(build_model(kind, ds, all_rows(ds),
                                         TrainConfig(), params))

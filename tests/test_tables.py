@@ -31,7 +31,9 @@ class TestParsing:
         assert table.field_names == ["user_id", "item_id", "rating", "timestamp"]
         assert [f.ftype for f in table.fields] == [
             FieldType.TOKEN, FieldType.TOKEN, FieldType.FLOAT, FieldType.FLOAT]
-        assert table.columns["user_id"] == ["u1", "u2", "u3"]
+        assert table.decode("user_id") == ["u1", "u2", "u3"]
+        assert table.columns["item_id"].tolist() == [1, 2, 1]
+        assert table.tokens["item_id"] == ["i1", "i2"]
         np.testing.assert_allclose(table.columns["rating"], [5.0, 3.0, 1.5])
 
     def test_empty_body(self, tmp_path):
@@ -48,7 +50,7 @@ class TestParsing:
         table = read_table(path, TableKind.ITEM, sep="\t")
         assert table.fields == (FieldSpec("movie_id", FieldType.TOKEN),
                                 FieldSpec("year", FieldType.FLOAT))
-        assert table.columns["movie_id"] == ["1", "2"]
+        assert table.decode("movie_id") == ["1", "2"]
         np.testing.assert_array_equal(table.columns["year"], [1995.0, np.nan])
 
     def test_missing_values(self, tmp_path):
@@ -59,7 +61,10 @@ class TestParsing:
         table = read_table(path, TableKind.INTER)
         assert math.isnan(table.columns["rating"][0])
         assert table.columns["rating"][1] == 4.0
-        assert table.columns["tag"] == ["red", None]
+        assert table.decode("tag") == ["red", None]
+        assert table.columns["tag"].dtype == np.int64
+        assert table.columns["tag"].tolist() == [1, 0]
+        assert table.tokens["tag"] == ["red"]
 
 
 class TestParsingErrors:
@@ -154,14 +159,15 @@ def _reference_read_table(path, kind, sep=","):
 
 
 def _assert_identical(a, b):
-    """Same fields and, cell by cell, the same types and bits."""
+    """Same fields; float bits and decoded token cells, type by type, equal."""
     assert (a.kind, a.fields) == (b.kind, b.fields)
-    for name in a.field_names:
-        x, y = a.columns[name], b.columns[name]
-        assert type(x) is type(y)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for f in a.fields:
+        x, y = a.columns[f.name], b.columns[f.name]
+        assert x.dtype == y.dtype
+        if f.ftype == FieldType.FLOAT:
+            assert x.tobytes() == y.tobytes()
             continue
+        x, y = a.decode(f.name), b.decode(f.name)
         assert len(x) == len(y)
         for p, q in zip(x, y):
             assert type(p) is type(q) and p == q
@@ -259,15 +265,19 @@ class TestColumnParser:
 class TestSelectRows:
     @pytest.mark.parametrize("indices", [[], [2], [2, 0], [1, 1, 3]])
     def test_list_columns(self, indices):
+        cells = {"user_id": list("abcd"), "item_id": ["w", None, "y", "z"],
+                 "tag": ["p", None, "q", "r"]}
         table = DataTable(TableKind.INTER,
                           [FieldSpec("user_id", FieldType.TOKEN),
                            FieldSpec("item_id", FieldType.TOKEN),
-                           FieldSpec("tag", FieldType.TOKEN)],
-                          {"user_id": list("abcd"), "item_id": ["w", None, "y", "z"],
-                           "tag": ["p", None, "q", "r"]})
+                           FieldSpec("tag", FieldType.TOKEN)], cells)
         picked = table.select_rows(np.array(indices, dtype=np.int64))
         for name, col in table.columns.items():
-            assert picked.columns[name] == [col[i] for i in indices]
+            # the token list is shared; the codes are the picked rows' codes
+            assert picked.tokens[name] is table.tokens[name]
+            assert picked.columns[name].dtype == np.int64
+            assert picked.columns[name].tolist() == [col[i] for i in indices]
+            assert picked.decode(name) == [cells[name][i] for i in indices]
 
 
 def _random_table(rng, kind=TableKind.INTER):
@@ -358,7 +368,7 @@ class TestConvertCsv:
         table = convert_csv(src, self.MAPPING, TableKind.INTER)
         assert table.field_names == ["user_id", "item_id", "rating", "timestamp"]
         assert table.row_count == 2
-        assert table.columns["user_id"] == ["1", "1"]
+        assert table.decode("user_id") == ["1", "1"]
         np.testing.assert_allclose(table.columns["rating"], [2.5, 3.0])
 
     def test_dropped_columns(self, tmp_path):
