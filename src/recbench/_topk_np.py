@@ -1,6 +1,10 @@
 """Pure numpy top-k selection, the package's one top-k kernel.
 
-Partial selection, not a full sort, in three steps:
+Partial selection, not a full sort.  Rows of at least 4k chunks of
+``_CHUNK`` columns are screened first: the k chunks with the largest
+maxima hold the row's top k (see :func:`_screened`), so only their
+columns go on to the selection.  Narrower rows, and rows whose (k+1)-th
+chunk max ties the k-th, are selected whole:
 
 1. ``argpartition`` (O(m) per row) picks k winners per row and so the
    k-th largest value.  It runs on the negated scores, so the -inf
@@ -20,7 +24,8 @@ ascending index.
 
 Scores must be finite or -inf (the sentinel for unrankable entries).
 A NaN score has no place in that order: each negated block is checked
-with one NaN-propagating ``max`` while it is in cache, and a NaN raises
+with one NaN-propagating ``max`` while it is in cache (a NaN in a
+screened block sends the whole matrix there), and a NaN raises
 :class:`~recbench.errors.NaNScoreError` naming the first such row.
 """
 
@@ -28,17 +33,70 @@ import numpy as np
 
 from .errors import NaNScoreError
 
-# Rows per ``argpartition`` call: the reused negated block and the call's
-# index output, _PART_ROWS x m each, stay small and in cache.
+# Rows per ``argpartition`` call and per screened block: the reused
+# negated block and the call's index output, _PART_ROWS x m each, and
+# the screen's temporaries stay small and in cache.
 _PART_ROWS = 128
 
 # Columns per step of the tie sweep: bounds its temporaries to a few
 # bytes per (spill row x column) of one block, even when a whole row ties.
 _SWEEP_COLS = 256
 
+# Columns per chunk of the screen.  Rows of at least 4k chunks are
+# screened, so the selection then sees at most a quarter of each row.
+_CHUNK = 16
+
 
 def topk_indices(scores, k):
     scores = np.ascontiguousarray(scores, dtype=np.float64)
+    n, m = scores.shape
+    n_chunks = m // _CHUNK
+    if n_chunks < 4 * k:
+        return _select(scores, k)
+    idx = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, _PART_ROWS):
+        block = _screened(scores[lo:lo + _PART_ROWS], k, n_chunks)
+        if block is None:  # a NaN: the selection names its first row
+            return _select(scores, k)
+        idx[lo:lo + _PART_ROWS] = block
+    return idx
+
+
+def _screened(scores, k, n_chunks):
+    """Top k of wide rows, selected among the columns of their best chunks.
+
+    Chunk c of a row holds columns c, c + n_chunks, c + 2 * n_chunks, ...
+    up to ``_CHUNK * n_chunks``, so the chunk maxima are elementwise
+    maxima of contiguous slices.  The k chunks with the largest maxima
+    hold k entries at least as large as the k-th of those maxima, so the
+    row's k-th value is too.  If the (k+1)-th largest chunk max is
+    strictly smaller, no entry outside those k chunks and the tail
+    columns reaches the k-th value, and selecting among them is exact.
+    They are gathered in ascending column order, which keeps the
+    tie-break.  Rows whose (k+1)-th chunk max ties go through the full
+    selection.  Returns None if the block holds a NaN.
+    """
+    n, m = scores.shape
+    width = _CHUNK * n_chunks
+    chunk_max = scores[:, :width].reshape(n, _CHUNK, n_chunks).max(axis=1)
+    if np.isnan(chunk_max).any() or np.isnan(scores[:, width:]).any():
+        return None
+    order = np.argpartition(-chunk_max, k, axis=1)
+    best = np.sort(order[:, :k], axis=1)
+    runner_up = np.take_along_axis(chunk_max, order[:, k:k + 1], axis=1)
+    clear = np.take_along_axis(chunk_max, best, axis=1).min(axis=1) > runner_up[:, 0]
+    cols = (best[:, None, :] + n_chunks * np.arange(_CHUNK)[:, None]).reshape(n, -1)
+    cols = np.concatenate(
+        [cols, np.broadcast_to(np.arange(width, m), (n, m - width))], axis=1)
+    picked = _select(np.take_along_axis(scores, cols, axis=1), k)
+    idx = np.take_along_axis(cols, picked, axis=1)
+    tied = np.flatnonzero(~clear)
+    if len(tied):
+        idx[tied] = _select(scores[tied], k)
+    return idx
+
+
+def _select(scores, k):
     n, m = scores.shape
     idx = np.empty((n, k), dtype=np.int64)
     neg = np.empty((min(n, _PART_ROWS), m))

@@ -75,7 +75,7 @@ def _timed(fn, repeats):
 
 
 def bench_eval(n_users, n_items, k=10, repeats=10, seed=0,
-               batch_size=1024) -> BenchResult:
+               batch_size=256) -> BenchResult:
     """Time both evaluation paths on one synthetic full-ranking instance."""
     if n_users < 1 or n_items < 2 or k < 1 or repeats < 1:
         raise EvalError("benchmark sizes must be positive (and n_items >= 2)")

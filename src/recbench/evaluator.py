@@ -67,6 +67,19 @@ class MetricReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _full_sort(row):
+    """Column indices of ``row`` by descending score, ties by ascending index.
+
+    A quicksort order is that stable order when its scores strictly
+    decrease; a row with a tie or a NaN is sorted again, stably.
+    """
+    order = np.argsort(-row)
+    ranked = row[order]
+    if not (ranked[:-1] > ranked[1:]).all():
+        order = np.argsort(-row, kind="stable")
+    return order
+
+
 def _resolve_metrics(metric_names, ks):
     ranking, value = [], []
     for name in metric_names:
@@ -186,7 +199,7 @@ class Evaluator:
         if self.ranking_names:
             for lo in range(0, len(self.users)):
                 row = self._batch_scores(model, lo, lo + 1)[0]
-                top = np.argsort(-row, kind="stable")[:max_k]
+                top = _full_sort(row)[:max_k]
                 rel = relevance_matrix(self.positives[lo:lo + 1], self.n_items)
                 blocks.append(index_hits(top[None, :], rel))
         return self._report(model, blocks)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from recbench.errors import EvalError
+from recbench.evaluator import _full_sort
 from recbench import Evaluator, evaluate
 from recbench.models import PopularityModel, TrainConfig
 from recbench.protocol import parse_eval_setting
@@ -51,6 +52,22 @@ class TestPipelineEquivalence:
             fast = ev.evaluate(model)
             slow = ev.evaluate_naive(model)
             assert fast.to_text() == slow.to_text(), f"trial {trial}"
+            assert fast.to_json() == slow.to_json(), f"trial {trial}"
+
+    def test_wide_catalog_matches_naive_oracle(self, rng):
+        # wide enough for the top-k screen; rounded scores tie, so the
+        # naive oracle's quicksort order is redone stably
+        for trial in range(6):
+            scores, positives, hist = _random_instance(rng, n_users=150,
+                                                       n_items=700)
+            if trial % 2:
+                scores = np.round(scores, 1)
+            ev = Evaluator(700, np.arange(150), positives,
+                           ["recall", "ndcg", "mrr"], [1, 5, 10],
+                           mask_items=hist if trial % 3 else None,
+                           batch_size=int(rng.integers(1, 151)))
+            model = FixedScores(scores)
+            fast, slow = ev.evaluate(model), ev.evaluate_naive(model)
             assert fast.to_json() == slow.to_json(), f"trial {trial}"
 
     def test_batch_size_invariance(self, rng):
@@ -135,6 +152,18 @@ class TestPipelineEquivalence:
         ev = Evaluator(*args, mask_items=hist, batch_size=3)
         for report in (ev.evaluate(model), ev.evaluate_naive(model)):
             assert report.values == {"recall@1": 0.0, "recall@5": 0.0}
+
+
+class TestNaiveFullSort:
+    def test_equals_stable_argsort(self, rng):
+        rows = [rng.standard_normal(500),
+                np.round(rng.standard_normal(500), 1),
+                np.zeros(50),
+                np.array([0.0, -0.0, 1.0, -0.0, -np.inf, -np.inf]),
+                np.array([np.nan, 1.0, np.nan, -np.inf, 2.0, np.nan])]
+        for row in rows:
+            np.testing.assert_array_equal(_full_sort(row),
+                                          np.argsort(-row, kind="stable"))
 
 
 def _sampled_instance(rng, n_users=None, n_items=None):

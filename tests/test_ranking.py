@@ -134,6 +134,49 @@ class TestNumpyTieRepair:
             self._assert_oracle(scores, m)
 
 
+class TestScreenedRows:
+    """Rows of at least 4k chunks go through the chunk-max screen; checked
+    against the stable full sort, across 128-row blocks."""
+
+    @staticmethod
+    def _wide(rng, k):
+        chunk = _topk_np._CHUNK
+        m = 4 * k * chunk + int(rng.integers(0, 3 * chunk))  # and a tail
+        assert m // chunk >= 4 * k
+        return int(rng.integers(1, 300)), m
+
+    def test_matches_stable_argsort(self, rng):
+        for trial in range(80):
+            k = int(rng.integers(1, 21))
+            n, m = self._wide(rng, k)
+            scores = rng.standard_normal((n, m))
+            if trial % 4 == 1:
+                scores = np.round(scores, 1)  # chunk maxima tie
+            elif trial % 4 == 2:
+                scores = rng.integers(0, 4, size=(n, m)) * 1.0
+                scores[rng.random((n, m)) < 0.5] = -0.0
+            if trial % 3 == 0:  # some rows hold fewer than k + 1 finite chunks
+                scores[rng.random((n, m)) < rng.choice([0.5, 0.99, 0.999])] = NEG_INF
+            np.testing.assert_array_equal(
+                topk_find(scores, k),
+                np.argsort(-scores, axis=1, kind="stable")[:, :k],
+                err_msg=f"trial {trial}")
+
+    def test_nan_names_first_row(self, rng):
+        k = 5
+        _, m = self._wide(rng, k)
+        tail, chunked = m - 1, 3
+        for rows, cols, first in (([201, 260], [tail, chunked], 201),
+                                  ([150, 200], [tail, chunked], 150),
+                                  ([150, 200], [chunked, tail], 150),
+                                  ([299], [tail], 299)):
+            scores = rng.standard_normal((300, m))
+            scores[rows, cols] = np.nan
+            with pytest.raises(NaNScoreError) as info:
+                topk_find(scores, k)
+            assert info.value.row == first
+
+
 class TestReshapeScores:
     def test_full_mode_verbatim(self):
         row = np.array([[0.9, 0.1, 0.5, 0.3]])
