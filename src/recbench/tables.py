@@ -89,6 +89,8 @@ class DataTable:
 
     A token column whose name ``tokens`` lacks is given as its cells, a
     list of ``str`` (``None`` or ``""`` = missing), and is encoded here;
+    codes come only with their token list, so such a column given as an
+    array is an error.
     a float column may be given as any sequence of floats.
     Tables are immutable by convention: every transformation returns a new
     table and shares unmodified columns and token lists.
@@ -107,6 +109,9 @@ class DataTable:
             if f.ftype == FieldType.FLOAT:
                 self.columns[f.name] = np.asarray(columns[f.name], dtype=np.float64)
             elif f.name not in self.tokens:
+                if isinstance(columns[f.name], np.ndarray):
+                    raise TableFileError(f"token column {f.name!r} is an array "
+                                         "without its token list")
                 self.columns[f.name], self.tokens[f.name] = _token_codes(columns[f.name])
         lengths = {len(self.columns[n]) for n in names} or {0}
         if len(lengths) != 1:
@@ -139,8 +144,11 @@ class DataTable:
         return DataTable(self.kind, self.fields, cols, self.tokens)
 
     def append_field(self, spec: FieldSpec, column) -> "DataTable":
-        """New table with ``column`` added, or replacing a same-named one."""
-        fields = self.fields if self.has_field(spec.name) else self.fields + (spec,)
+        """New table with ``spec`` and ``column`` added, or replacing a
+        same-named field."""
+        fields = tuple(spec if f.name == spec.name else f for f in self.fields)
+        if not self.has_field(spec.name):
+            fields += (spec,)
         tokens = {n: t for n, t in self.tokens.items() if n != spec.name}
         return DataTable(self.kind, fields, {**self.columns, spec.name: column}, tokens)
 

@@ -412,6 +412,32 @@ class TestTruthField:
         assert reports["click"].values == reports["label"].values
 
 
+    def test_label_source_replaces_a_token_label_column(self, tmp_path):
+        # the threshold's float labels replace the file's label:token
+        # column, so only labelled rows are positives, as without it
+        rng = np.random.default_rng(6)
+        rows = [(f"u{u}", f"i{rng.integers(0, 40)}", f"{rng.integers(1, 6)}.0",
+                 f"{t}.0") for t, u in enumerate(rng.integers(0, 60, size=900))]
+        header = "user_id:token,item_id:token,rating:float,timestamp:float"
+        plain, tagged = tmp_path / "plain.inter", tmp_path / "tagged.inter"
+        plain.write_text(header + "\n" + "".join(",".join(r) + "\n" for r in rows),
+                         encoding="utf-8")
+        tagged.write_text(header + ",label:token\n"
+                          + "".join(",".join(r) + ",t\n" for r in rows),
+                          encoding="utf-8")
+        reports = {}
+        for inter in (plain, tagged):
+            cfg = load_config(None, [
+                f"inter_path={inter}", "model=popularity", "eval_setting=TO_LS,full",
+                "label_source=rating", "label_threshold=4",
+                "metrics=[recall, ndcg]", "topk=[5]", "valid_metric=ndcg@5",
+                f"out_dir={tmp_path / inter.stem}",
+            ])
+            reports[inter.stem] = run_experiment(cfg).report
+        assert reports["tagged"].n_users == reports["plain"].n_users < 60
+        assert reports["tagged"].values == reports["plain"].values
+
+
 class TestOneFitLoop:
     # report.json of these runs, recorded before closed-form models moved
     # into the epoch loop; recall and mrr are exact ratios of hit counts

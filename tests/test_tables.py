@@ -280,6 +280,29 @@ class TestSelectRows:
             assert picked.decode(name) == [cells[name][i] for i in indices]
 
 
+class TestTokenColumnForms:
+    FIELDS = [FieldSpec("user_id", FieldType.TOKEN),
+              FieldSpec("item_id", FieldType.TOKEN),
+              FieldSpec("label", FieldType.TOKEN)]
+
+    def test_codes_without_token_list_rejected(self):
+        # an int64 array is a column of codes, meaningless without its tokens
+        cells = {"user_id": ["a", "b"], "item_id": ["x", "y"],
+                 "label": np.array([1, 2], dtype=np.int64)}
+        with pytest.raises(TableFileError, match="'label'"):
+            DataTable(TableKind.INTER, self.FIELDS, cells)
+
+    def test_append_field_replaces_the_spec(self):
+        table = DataTable(TableKind.INTER, self.FIELDS,
+                          {"user_id": ["a", "b"], "item_id": ["x", "y"],
+                           "label": ["yes", None]})
+        out = table.append_field(FieldSpec("label", FieldType.FLOAT), [0.0, 1.0])
+        assert out.field_names == table.field_names
+        assert out.field("label").ftype == FieldType.FLOAT
+        assert "label" not in out.tokens
+        assert out.columns["label"].tolist() == [0.0, 1.0]
+
+
 def _random_table(rng, kind=TableKind.INTER):
     n = int(rng.integers(0, 12))
     fields = [FieldSpec("user_id", FieldType.TOKEN),
